@@ -89,6 +89,10 @@ def _simulate_run(args, circuit: Circuit) -> RunRecord:
         state = None
 
     if args.engine == "statevector":
+        if circuit.num_qubits > args.cap:
+            raise ValueError(f"{circuit.num_qubits} qubits exceeds the cap of {args.cap}")
+        if 2**circuit.num_qubits > args.memory_cap:
+            raise MemoryCapExceeded(f"{2**circuit.num_qubits} entries (cap {args.memory_cap})")
         start = time.perf_counter()
         vec = statevector.basis_vector([0] * circuit.num_qubits)
         for g in circuit.gates:
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", help="topology file (ttn); planned when omitted")
     p.add_argument("--clusters", type=int)
     p.add_argument("--order", help="mps qubit-to-site permutation")
-    p.add_argument("--cap", type=int, help="clamp dims here and count events")
+    p.add_argument("--cap", type=int, help="clamp dims here (at least 1) and count events")
     p.add_argument("--dmax", type=int, help="budget for the admissibility verdict")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv-out", help="write per-edge dims: edge_id,level,dim")

@@ -1,17 +1,20 @@
 """Symbolic bond-dimension simulation and gate-pattern admissibility.
 
-A dry-run replays a circuit against a tree topology (or an MPS site order)
-tracking only edge dimensions: each two-qubit gate multiplies every on-path
-edge by its Schmidt rank k, after which a reduction pass iterates
+A dry-run replays a circuit against a tree topology tracking only edge
+dimensions: each two-qubit gate multiplies every on-path edge by its Schmidt
+rank k, after which a worklist, seeded with the path edges, applies
 
     dim(e) <- min(dim(e), product of dims below e, product of dims above e)
 
-to a fixpoint. The reduction is the symbolic shadow of economical-SVD
-sweeps, which can only shrink an edge to the smaller of its two matricization
-sides, so dry-run dimensions upper-bound what the engines observe.
+(`FlatTree.edge_bound`) until no edge shrinks. The reduction is the symbolic
+shadow of economical-SVD sweeps, which can only shrink an edge to the smaller
+of its two matricization sides, so dry-run dimensions upper-bound what the
+engines observe. An MPS site order is walked as its comb (`comb_topology`), an
+idle qubit's leaf edge counting as 1, and reported per bond.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy as np
 from . import gates as gatelib
 from .circuits import Circuit
 from .gates import gate_rank
-from .topology import FlatTree, TreeTopology, perfect_tree
+from .topology import FlatTree, TreeTopology, comb_topology, perfect_tree
 from .treesearch import l_cluster
 
 
@@ -48,42 +51,34 @@ class DryRunReport:
     cap_events: int = 0
 
 
-def _reduce_tree(dims: dict, tree: FlatTree):
-    """Two-sided min rule to fixpoint over a tree ledger (keyed by child id)."""
+def _reduce_tree(dims: dict, tree: FlatTree, seeds):
+    """Two-sided min rule to fixpoint over a tree ledger (keyed by child id).
 
-    def below(nid):
-        if tree.is_leaf(nid):
-            return 2
-        return math.prod(dims[c] for c in tree.children[nid])
-
-    def above(nid):
-        parent = tree.parent[nid]
-        prod = 1 if tree.parent[parent] is None else dims[parent]
-        for sibling in tree.children[parent]:
-            if sibling != nid:
-                prod *= dims[sibling]
-        return prod
-
-    changed = True
-    while changed:
-        changed = False
-        for nid in dims:
-            new = min(dims[nid], below(nid), above(nid))
-            if new < dims[nid]:
-                dims[nid] = new
-                changed = True
+    A worklist seeded with the edges whose dims just grew. An edge that shrinks
+    queues the edges whose bound has it as a factor, if larger than its new dim.
+    The rule is monotone, so this reaches the whole-tree sweep's fixpoint.
+    """
+    work = deque(seeds)
+    queued = set(work)
+    while work:
+        nid = work.popleft()
+        queued.discard(nid)
+        new = tree.edge_bound(nid, dims.__getitem__)
+        if new < dims[nid]:
+            dims[nid] = new
+            parent = tree.parent[nid]
+            # the edges whose bound reads this one: children, siblings, parent
+            for e in tree.children[nid] + tree.children[parent] + [parent]:
+                if dims.get(e, 0) > new and e not in queued:
+                    queued.add(e)
+                    work.append(e)
 
 
 def _tree_entries(dims: dict, tree: FlatTree) -> int:
-    total = 0
-    for nid in range(tree.num_nodes):
-        if tree.is_leaf(nid):
-            total += 2 * dims[nid]
-        else:
-            size = math.prod(dims[c] for c in tree.children[nid])
-            size *= dims[nid] if tree.parent[nid] is not None else 1
-            total += size
-    return total
+    """Entries of every node tensor: downstream axes times the parent axis
+    (a dimension-1 dummy at the root)."""
+    return sum((2 if tree.is_leaf(nid) else math.prod(dims[c] for c in tree.children[nid]))
+               * dims.get(nid, 1) for nid in range(tree.num_nodes))
 
 
 def _dryrun_tree(circuit: Circuit, topology: TreeTopology, cap) -> DryRunReport:
@@ -100,8 +95,10 @@ def _dryrun_tree(circuit: Circuit, topology: TreeTopology, cap) -> DryRunReport:
         edges = tree.path_edges(*g.qubits)
         for e in edges:
             dims[e] *= k
-        _reduce_tree(dims, tree)
+        _reduce_tree(dims, tree, edges)
         if cap is not None:
+            # the ledger stays a fixpoint: every edge is already at most cap,
+            # and every bound that reads a clamped edge is at least cap
             for e in edges:
                 if dims[e] > cap:
                     dims[e] = cap
@@ -113,60 +110,34 @@ def _dryrun_tree(circuit: Circuit, topology: TreeTopology, cap) -> DryRunReport:
                         _tree_entries(dims, tree), events, cap, cap_events)
 
 
-def _reduce_chain(bonds: list):
-    n = len(bonds)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(n):
-            left = bonds[j - 1] if j > 0 else 1
-            right = bonds[j + 1] if j < n - 1 else 1
-            new = min(bonds[j], 2 * left, 2 * right)
-            if new < bonds[j]:
-                bonds[j] = new
-                changed = True
-
-
 def _dryrun_mps(circuit: Circuit, order, cap) -> DryRunReport:
-    site_of = list(order)
-    if sorted(site_of) != list(range(circuit.num_qubits)):
-        raise ValueError("order must be a permutation of the circuit qubits")
-    n = circuit.num_qubits
-    bonds = [1] * (n - 1)
+    """The tree dry-run on the comb of `order`, re-keyed to the n-1 bonds.
+
+    Bond j is comb edge 2j+2; the odd comb edges are leaf edges, which never
+    exceed 2. Entries are counted per site, with the physical leg fused in.
+    """
+    rep = _dryrun_tree(circuit, comb_topology(order), cap)
+    bonds = [rep.edge_dims[2 * j + 2] for j in range(circuit.num_qubits - 1)]
     events = []
-    cap_events = 0
-    for idx, g in enumerate(circuit.gates):
-        if g.num_qubits != 2:
-            continue
-        k = gate_rank(g)
-        sa, sb = sorted(site_of[q] for q in g.qubits)
-        for j in range(sa, sb):
-            bonds[j] *= k
-        _reduce_chain(bonds)
-        if cap is not None:
-            for j in range(sa, sb):
-                if bonds[j] > cap:
-                    bonds[j] = cap
-                    cap_events += 1
-        events.append(GateEvent(idx, g.label, k, sb - sa, list(range(sa, sb))))
-    dims = {j: bonds[j] for j in range(n - 1)}
-    levels = {j: 1 for j in dims}
-    m_entries = sum(
-        (bonds[j - 1] if j > 0 else 1) * 2 * (bonds[j] if j < n - 1 else 1)
-        for j in range(n)
-    )
-    d_max = max(bonds, default=1)
-    return DryRunReport("mps", dims, levels, max(int(d_max), 2), m_entries,
-                        events, cap, cap_events)
+    for ev in rep.events:
+        crossed = [e // 2 - 1 for e in ev.edges if e % 2 == 0]
+        events.append(GateEvent(ev.gate_index, ev.label, ev.k, len(crossed), crossed))
+    padded = [1] + bonds + [1]
+    m_entries = sum(left * 2 * right for left, right in zip(padded, padded[1:]))
+    return DryRunReport("mps", dict(enumerate(bonds)), {j: 1 for j in range(len(bonds))},
+                        rep.d_max_observed, m_entries, events, cap, rep.cap_events)
 
 
 def dryrun(circuit: Circuit, layout, cap: int | None = None) -> DryRunReport:
     """Symbolically simulate bond growth for a tree topology or a site order.
 
     `layout` is a TreeTopology (or FlatTree) for the tree engine, or a
-    qubit-to-site permutation for the MPS baseline. With `cap` set, edges are
-    clamped at the cap and each clamp is recorded as a would-truncate event.
+    qubit-to-site permutation for the MPS baseline, walked as a comb. With
+    `cap` (at least 1) set, edges are clamped at the cap and each clamp is
+    recorded as a would-truncate event.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     if isinstance(layout, (TreeTopology, FlatTree)):
         return _dryrun_tree(circuit, layout, cap)
     return _dryrun_mps(circuit, layout, cap)

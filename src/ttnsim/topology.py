@@ -2,10 +2,13 @@
 
 `TreeTopology` is the immutable nested description (what the planner emits
 and the file format stores); `FlatTree` is the derived indexed view (parents,
-children, paths) that the TTN engine and the dry-run walker work on.
+children, paths, and the min-rule bound of an edge) that the TTN engine and
+the dry-run walker work on. `comb_topology` is the MPS site order written as
+a tree, so the MPS dry-run is the tree dry-run on a comb.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -96,6 +99,23 @@ def perfect_tree(arity: int, height: int) -> TreeTopology:
     return TreeTopology(build(height))
 
 
+def comb_topology(order) -> TreeTopology:
+    """An MPS site order as a tree: node(leaf site0, node(leaf site1, ...
+    node(leaf site n-2, leaf site n-1))).
+
+    `order[q]` is the site of qubit q. In the `FlatTree`, bond j (between
+    sites j and j+1) is the edge above node 2j+2.
+    """
+    order = list(order)
+    if not order or sorted(order) != list(range(len(order))):
+        raise ValueError(f"order must be a permutation of 0..{len(order) - 1}")
+    qubit_at = sorted(range(len(order)), key=order.__getitem__)
+    spec = Leaf(qubit_at[-1])
+    for q in reversed(qubit_at[:-1]):
+        spec = Internal((Leaf(q), spec))
+    return TreeTopology(spec)
+
+
 # ---------------------------------------------------------------------------
 # file format: a JSON document of nested nodes, {"leaf": q} or
 # {"children": [node, ...]}.
@@ -147,13 +167,11 @@ class FlatTree:
         self.parent: list[int | None] = []
         self.children: list[list[int]] = []
         self.leaf_qubit: list[int | None] = []
-        self.depth: list[int] = []
 
-        def visit(spec, parent_id, depth):
+        def visit(spec, parent_id):
             nid = len(self.parent)
             self.parent.append(parent_id)
             self.children.append([])
-            self.depth.append(depth)
             if parent_id is not None:
                 self.children[parent_id].append(nid)
             if isinstance(spec, Leaf):
@@ -161,10 +179,10 @@ class FlatTree:
             else:
                 self.leaf_qubit.append(None)
                 for ch in spec.children:
-                    visit(ch, nid, depth + 1)
+                    visit(ch, nid)
             return nid
 
-        visit(topo.root, None, 0)
+        visit(topo.root, None)
         self.num_nodes = len(self.parent)
         self.num_qubits = topo.num_qubits
         self.qubit_node = {self.leaf_qubit[i]: i for i in range(self.num_nodes)
@@ -192,6 +210,20 @@ class FlatTree:
     def child_index(self, nid: int) -> int:
         """Position of `nid` among its parent's children."""
         return self.children[self.parent[nid]].index(nid)
+
+    def edge_bound(self, nid: int, dim) -> int:
+        """Min-rule bound of the edge above `nid`, given edge dims `dim(edge)`:
+        an economical SVD leaves it no larger than either matricization side,
+        below (the child-edge dims, 2 for a leaf) or above (the parent's own
+        edge, 1 at the root, times the sibling-edge dims)."""
+        kids = self.children[nid]
+        below = math.prod(map(dim, kids)) if kids else 2
+        parent = self.parent[nid]
+        above = 1 if self.parent[parent] is None else dim(parent)
+        for sibling in self.children[parent]:
+            if sibling != nid:
+                above *= dim(sibling)
+        return min(below, above)
 
     def ancestors(self, nid: int) -> list[int]:
         """Chain from `nid` up to and including the root."""

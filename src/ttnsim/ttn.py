@@ -167,11 +167,11 @@ class TtnState:
         for chain in (up_a, up_b):
             for path_child, nid in zip(chain, chain[1:]):
                 t = self.tensors[nid]
-                ci = self.tree.children[nid].index(path_child)
+                ci = self.tree.child_index(path_child)
                 self.tensors[nid] = _expand_pair(t, ci, t.ndim - 1, k)
 
-        ca = self.tree.children[lca].index(up_a[-1])
-        cb = self.tree.children[lca].index(up_b[-1])
+        ca = self.tree.child_index(up_a[-1])
+        cb = self.tree.child_index(up_b[-1])
         self.tensors[lca] = _expand_pair(
             self.tensors[lca], min(ca, cb), max(ca, cb), k, scale=1.0 / math.sqrt(k)
         )
@@ -205,20 +205,10 @@ class TtnState:
         self.tensors[nid] = fac.u.reshape(t.shape[:-1] + (fac.k,))
         remainder = fac.s[:, None] * fac.v_dag  # (k, d_par)
         parent = self.tree.parent[nid]
-        ci = self.tree.children[parent].index(nid)
+        ci = self.tree.child_index(nid)
         merged = np.tensordot(remainder, self.tensors[parent], axes=(1, ci))
         self.tensors[parent] = np.moveaxis(merged, 0, ci)
         return fac.k
-
-    def _above_bound(self, nid: int) -> int:
-        """Root-side dimension bound of the edge above `nid`: the product of
-        its siblings' edge dimensions and the parent's own parent edge."""
-        parent = self.tree.parent[nid]
-        bound = 1 if self.tree.parent[parent] is None else self.edge_dim(parent)
-        for sibling in self.tree.children[parent]:
-            if sibling != nid:
-                bound *= self.edge_dim(sibling)
-        return bound
 
     def _reveal_branch(self, leaf: int, policy: TruncationPolicy):
         """Walk the orthogonality center from the root down to `leaf` and back.
@@ -233,7 +223,7 @@ class TtnState:
         chain = self.tree.ancestors(leaf)  # leaf .. root
         down = list(reversed(chain))
         for parent, child in zip(down, down[1:]):
-            ci = self.tree.children[parent].index(child)
+            ci = self.tree.child_index(child)
             t = self.tensors[parent]
             mat = np.moveaxis(t, ci, -1).reshape(-1, t.shape[ci])
             try:
@@ -256,7 +246,7 @@ class TtnState:
                 raise FactorizationError(f"node {nid}: {exc}") from exc
             self.tensors[nid] = q.reshape(t.shape[:-1] + (q.shape[1],))
             parent = self.tree.parent[nid]
-            ci = self.tree.children[parent].index(nid)
+            ci = self.tree.child_index(nid)
             merged = np.tensordot(rem, self.tensors[parent], axes=(1, ci))
             self.tensors[parent] = np.moveaxis(merged, 0, ci)
 
@@ -267,9 +257,10 @@ class TtnState:
         postorder), each non-root node matricized downstream-by-parent, the
         isometry kept and the singular-value remainder absorbed into the
         parent. Then, where the policy truncates or an edge exceeds its
-        root-side bound, the orthogonality center bounces down the affected
-        branches to expose true Schmidt spectra and prune them. Edge
-        dimensions never grow; the root is rescaled to unit norm at the end.
+        `FlatTree.edge_bound` (only the root side can bind by now), the
+        orthogonality center bounces down the affected branches to expose true
+        Schmidt spectra and prune them. Edge dimensions never grow; the root is
+        rescaled to unit norm at the end.
         """
         dirty_leaves = []
         for nid in self.tree.postorder:
@@ -282,7 +273,7 @@ class TtnState:
             self._factor_node(nid, EXACT)
         truncating = policy.sigma_rel > 0 or policy.d_max is not None
         for leaf in dirty_leaves:
-            masked = any(self.edge_dim(nid) > self._above_bound(nid)
+            masked = any(self.edge_dim(nid) > self.tree.edge_bound(nid, self.edge_dim)
                          for nid in self.tree.ancestors(leaf)[:-1])
             if truncating or masked:
                 self._reveal_branch(leaf, policy)

@@ -106,6 +106,13 @@ class TestSimulate:
         run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
         assert run(["simulate", "--circuit", circ, "--memory-cap", 50]) == 4
 
+    @pytest.mark.parametrize("flags, code", [(["--cap", 3], 2), (["--memory-cap", 15], 4),
+                                             (["--cap", 4, "--memory-cap", 16], 0)])
+    def test_statevector_enforces_caps(self, tmp_path, flags, code):
+        circ = tmp_path / "c.json"
+        run(["gen", "lattice", "--n", 2, "--depth", 4, "--seed", 1, "--out", circ])  # 4 qubits
+        assert run(["simulate", "--circuit", circ, "--engine", "statevector"] + flags) == code
+
     def test_csv_deterministic_across_runs(self, tmp_path, treelike_files):
         circ, topo = treelike_files
         csvs = []
@@ -160,6 +167,12 @@ class TestDryrunCmd:
         assert run(["dryrun", "--circuit", circ, "--engine", "mps",
                     "--out", rep_path]) == 0
         assert json.loads(rep_path.read_text())["kind"] == "mps"
+
+    @pytest.mark.parametrize("engine", ["ttn", "mps"])
+    def test_cap_below_one_exit_2(self, treelike_files, engine):
+        circ, topo = treelike_files
+        assert run(["dryrun", "--circuit", circ, "--engine", engine, "--topology", topo,
+                    "--cap", 0]) == 2
 
     def test_csv_deterministic(self, tmp_path, treelike_files):
         circ, topo = treelike_files
