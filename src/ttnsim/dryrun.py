@@ -22,7 +22,7 @@ import numpy as np
 from . import gates as gatelib
 from .circuits import Circuit
 from .gates import gate_rank
-from .topology import FlatTree, TreeTopology, comb_topology, perfect_tree
+from .topology import FlatTree, TreeTopology, comb_bond_edges, comb_topology, perfect_tree
 from .treesearch import l_cluster
 
 
@@ -75,10 +75,15 @@ def _reduce_tree(dims: dict, tree: FlatTree, seeds):
 
 
 def _tree_entries(dims: dict, tree: FlatTree) -> int:
-    """Entries of every node tensor: downstream axes times the parent axis
-    (a dimension-1 dummy at the root)."""
-    return sum((2 if tree.is_leaf(nid) else math.prod(dims[c] for c in tree.children[nid]))
-               * dims.get(nid, 1) for nid in range(tree.num_nodes))
+    total = 0
+    for nid in range(tree.num_nodes):
+        if tree.is_leaf(nid):
+            total += 2 * dims.get(nid, 1)  # a lone leaf is the root, with no edge
+        else:
+            size = math.prod(dims[c] for c in tree.children[nid])
+            size *= dims[nid] if tree.parent[nid] is not None else 1
+            total += size
+    return total
 
 
 def _dryrun_tree(circuit: Circuit, topology: TreeTopology, cap) -> DryRunReport:
@@ -113,14 +118,17 @@ def _dryrun_tree(circuit: Circuit, topology: TreeTopology, cap) -> DryRunReport:
 def _dryrun_mps(circuit: Circuit, order, cap) -> DryRunReport:
     """The tree dry-run on the comb of `order`, re-keyed to the n-1 bonds.
 
-    Bond j is comb edge 2j+2; the odd comb edges are leaf edges, which never
-    exceed 2. Entries are counted per site, with the physical leg fused in.
+    The comb's other edges are leaf edges, which never exceed 2. Entries are
+    counted per site, with the physical leg fused in.
     """
-    rep = _dryrun_tree(circuit, comb_topology(order), cap)
-    bonds = [rep.edge_dims[2 * j + 2] for j in range(circuit.num_qubits - 1)]
+    tree = FlatTree(comb_topology(order))
+    rep = _dryrun_tree(circuit, tree, cap)
+    bond_edges = comb_bond_edges(tree)
+    bond_of = {e: j for j, e in enumerate(bond_edges)}
+    bonds = [rep.edge_dims[e] for e in bond_edges]
     events = []
     for ev in rep.events:
-        crossed = [e // 2 - 1 for e in ev.edges if e % 2 == 0]
+        crossed = [bond_of[e] for e in ev.edges if e in bond_of]
         events.append(GateEvent(ev.gate_index, ev.label, ev.k, len(crossed), crossed))
     padded = [1] + bonds + [1]
     m_entries = sum(left * 2 * right for left, right in zip(padded, padded[1:]))

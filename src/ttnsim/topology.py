@@ -43,8 +43,7 @@ class TreeTopology:
 
     def __init__(self, root):
         self.root = root
-        leaves = []
-        _collect_leaves(root, leaves)
+        leaves = [spec.qubit for spec, _ in _preorder(root) if isinstance(spec, Leaf)]
         n = len(leaves)
         if sorted(leaves) != list(range(n)):
             raise ValueError(f"leaves must biject with 0..{n - 1}, got {sorted(leaves)}")
@@ -57,31 +56,25 @@ class TreeTopology:
 
     @property
     def height(self) -> int:
-        return _height(self.root)
+        return FlatTree(self).height[0]
 
     @property
     def max_arity(self) -> int:
-        return _max_arity(self.root)
+        return max(map(len, FlatTree(self).children))
 
 
-def _collect_leaves(spec, out):
-    if isinstance(spec, Leaf):
-        out.append(spec.qubit)
-    else:
-        for ch in spec.children:
-            _collect_leaves(ch, out)
-
-
-def _height(spec) -> int:
-    if isinstance(spec, Leaf):
-        return 0
-    return 1 + max(_height(ch) for ch in spec.children)
-
-
-def _max_arity(spec) -> int:
-    if isinstance(spec, Leaf):
-        return 0
-    return max(len(spec.children), max(_max_arity(ch) for ch in spec.children))
+def _preorder(root):
+    """Yield (spec, preorder index of its parent or None) for every node in
+    DFS preorder. An explicit stack, not recursion: a comb over n qubits is
+    n levels deep."""
+    stack = [(root, None)]
+    index = 0
+    while stack:
+        spec, parent = stack.pop()
+        yield spec, parent
+        if isinstance(spec, Internal):
+            stack.extend((ch, index) for ch in reversed(spec.children))
+        index += 1
 
 
 def perfect_tree(arity: int, height: int) -> TreeTopology:
@@ -103,8 +96,8 @@ def comb_topology(order) -> TreeTopology:
     """An MPS site order as a tree: node(leaf site0, node(leaf site1, ...
     node(leaf site n-2, leaf site n-1))).
 
-    `order[q]` is the site of qubit q. In the `FlatTree`, bond j (between
-    sites j and j+1) is the edge above node 2j+2.
+    `order[q]` is the site of qubit q; `comb_bond_edges` finds the bonds in
+    the comb's `FlatTree`.
     """
     order = list(order)
     if not order or sorted(order) != list(range(len(order))):
@@ -114,6 +107,17 @@ def comb_topology(order) -> TreeTopology:
     for q in reversed(qubit_at[:-1]):
         spec = Internal((Leaf(q), spec))
     return TreeTopology(spec)
+
+
+def comb_bond_edges(tree: "FlatTree") -> list[int]:
+    """Edge ids of a comb's bonds, in site order: bond j, between sites j and
+    j+1, is the edge above the spine node that holds sites j+1..n-1."""
+    edges = []
+    nid = 0
+    while tree.children[nid]:
+        nid = tree.children[nid][-1]
+        edges.append(nid)
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +171,12 @@ class FlatTree:
         self.parent: list[int | None] = []
         self.children: list[list[int]] = []
         self.leaf_qubit: list[int | None] = []
-
-        def visit(spec, parent_id):
-            nid = len(self.parent)
+        for nid, (spec, parent_id) in enumerate(_preorder(topo.root)):
             self.parent.append(parent_id)
             self.children.append([])
             if parent_id is not None:
                 self.children[parent_id].append(nid)
-            if isinstance(spec, Leaf):
-                self.leaf_qubit.append(spec.qubit)
-            else:
-                self.leaf_qubit.append(None)
-                for ch in spec.children:
-                    visit(ch, nid)
-            return nid
-
-        visit(topo.root, None)
+            self.leaf_qubit.append(spec.qubit if isinstance(spec, Leaf) else None)
         self.num_nodes = len(self.parent)
         self.num_qubits = topo.num_qubits
         self.qubit_node = {self.leaf_qubit[i]: i for i in range(self.num_nodes)
@@ -194,15 +188,14 @@ class FlatTree:
         self.postorder = self._postorder()
 
     def _postorder(self) -> list[int]:
+        # node, then children right to left, reversed: children left to right, then node
         order = []
-
-        def walk(nid):
-            for ch in self.children[nid]:
-                walk(ch)
+        stack = [0]
+        while stack:
+            nid = stack.pop()
             order.append(nid)
-
-        walk(0)
-        return order
+            stack.extend(self.children[nid])
+        return order[::-1]
 
     def is_leaf(self, nid: int) -> bool:
         return self.leaf_qubit[nid] is not None
