@@ -52,7 +52,9 @@ class TreeTopology:
     def __eq__(self, other):
         if not isinstance(other, TreeTopology):
             return NotImplemented
-        return self.root == other.root
+        # the preorder walks, not the nested specs: the dataclass equality of
+        # `Internal` recurses, and a comb over n qubits is n levels deep
+        return _shape(self.root) == _shape(other.root)
 
     @property
     def height(self) -> int:
@@ -75,6 +77,14 @@ def _preorder(root):
         if isinstance(spec, Internal):
             stack.extend((ch, index) for ch in reversed(spec.children))
         index += 1
+
+
+def _shape(root) -> list[tuple]:
+    """The tree as (leaf qubit, or None for an internal node, and parent
+    index) per node in preorder; the parent indices fix every node's
+    children in order, so two trees are equal exactly when these lists are."""
+    return [(spec.qubit if isinstance(spec, Leaf) else None, parent)
+            for spec, parent in _preorder(root)]
 
 
 def perfect_tree(arity: int, height: int) -> TreeTopology:

@@ -10,8 +10,15 @@ Two-qubit gates are applied by Schmidt-splitting the gate, absorbing the two
 factors into the target leaves, and threading the rank-k bond through every
 node on the tree path between them; the identity connectors keep interior
 nodes isometric (the turning node carries the compensating 1/sqrt(k)), so a
-bottom-up re-orthonormalization of the touched branches restores canonical
-form.
+re-orthonormalization of the touched branches restores canonical form.
+
+That sweep is a bottom-up pass followed by one walk of the orthogonality
+center. In exact mode the bottom-up pass takes an SVD per node, which
+already finds most ranks. When the policy truncates it only moves the gauge
+(identity or QR, no rank search), because the walk SVDs every touched edge
+against its true Schmidt spectrum anyway. The walk goes down the union of
+the branches that need it in child order and climbs back after each
+subtree, so a segment the two gate branches share is factorized once.
 """
 
 import math
@@ -191,92 +198,127 @@ class TtnState:
 
     # -- canonical form -----------------------------------------------------
 
-    def _factor_node(self, nid: int, policy: TruncationPolicy):
-        """Replace node `nid` by the isometry of its economical SVD and pull
-        the remainder into its parent. Returns the new parent-edge dimension."""
+    def _absorb_up(self, nid: int, iso: np.ndarray, remainder: np.ndarray):
+        """Set node `nid` to the isometry `iso` (downstream rows by new edge
+        columns) and contract `remainder` (new edge by old edge) into its
+        parent, moving the orthogonality center one edge up."""
         t = self.tensors[nid]
-        d_par = t.shape[-1]
-        mat = t.reshape(-1, d_par)
-        try:
-            fac = svd_econ(mat, threshold=RANK_TOL)
-        except FactorizationError as exc:
-            raise FactorizationError(f"node {nid}: {exc}") from exc
-        _truncate_factors(fac, policy, self)
-        self.tensors[nid] = fac.u.reshape(t.shape[:-1] + (fac.k,))
-        remainder = fac.s[:, None] * fac.v_dag  # (k, d_par)
+        self.tensors[nid] = iso.reshape(t.shape[:-1] + (iso.shape[1],))
         parent = self.tree.parent[nid]
         ci = self.tree.child_index(nid)
         merged = np.tensordot(remainder, self.tensors[parent], axes=(1, ci))
         self.tensors[parent] = np.moveaxis(merged, 0, ci)
-        return fac.k
 
-    def _reveal_branch(self, leaf: int, policy: TruncationPolicy):
-        """Walk the orthogonality center from the root down to `leaf` and back.
+    def _factor_node(self, nid: int):
+        """Exact upward move: the isometry of the node's economical SVD, with
+        numerically zero singular values dropped, so the new parent edge
+        carries the rank seen from below."""
+        t = self.tensors[nid]
+        try:
+            fac = svd_econ(t.reshape(-1, t.shape[-1]), threshold=RANK_TOL)
+        except FactorizationError as exc:
+            raise FactorizationError(f"node {nid}: {exc}") from exc
+        self._absorb_up(nid, fac.u, fac.s[:, None] * fac.v_dag)
 
-        On the way down each edge is factorized from the parent side; with
-        the rest of the tree isometric, the singular values there are the
-        state's true Schmidt spectrum across the edge, so this both exposes
-        the minimal edge dimension (the upward pass alone cannot see zeros
-        hidden by the root's gauge) and is where threshold/cap truncation is
-        grounded. The way back up restores canonical form.
+    def _gauge_up(self, nid: int):
+        """Gauge-only upward move, no rank search. A node whose downstream
+        size p is at most its parent edge q becomes the identity and its
+        whole matrix moves into the parent (the edge becomes p); otherwise a
+        reduced QR keeps the edge at q."""
+        t = self.tensors[nid]
+        mat = t.reshape(-1, t.shape[-1])
+        if mat.shape[0] <= mat.shape[1]:
+            self._absorb_up(nid, np.eye(mat.shape[0], dtype=mat.dtype), mat)
+            return
+        try:
+            q, rem = qr_econ(mat)
+        except FactorizationError as exc:
+            raise FactorizationError(f"node {nid}: {exc}") from exc
+        self._absorb_up(nid, q, rem)
+
+    def _split_down(self, parent: int, child: int, policy: TruncationPolicy):
+        """Downward move of the orthogonality center from `parent` into
+        `child`. With every other node isometric towards `parent`, the SVD of
+        the parent matricized against the child's edge yields the state's
+        true Schmidt spectrum across that edge, which both exposes the
+        minimal edge dimension and is where the policy truncates."""
+        ci = self.tree.child_index(child)
+        t = self.tensors[parent]
+        mat = np.moveaxis(t, ci, -1).reshape(-1, t.shape[ci])
+        try:
+            fac = svd_econ(mat, threshold=RANK_TOL)
+        except FactorizationError as exc:
+            raise FactorizationError(f"node {parent}: {exc}") from exc
+        _truncate_factors(fac, policy, self)
+        rest = t.shape[:ci] + t.shape[ci + 1:]
+        self.tensors[parent] = np.moveaxis(fac.u.reshape(rest + (fac.k,)), -1, ci)
+        remainder = fac.s[:, None] * fac.v_dag  # (k, old child-edge dim)
+        ct = self.tensors[child]
+        self.tensors[child] = np.tensordot(ct, remainder, axes=(ct.ndim - 1, 1))
+
+    def _masked(self, leaf: int) -> bool:
+        """Whether an edge between `leaf` and the root exceeds its
+        `FlatTree.edge_bound`, a rank the upward pass could not see."""
+        return any(self.edge_dim(nid) > self.tree.edge_bound(nid, self.edge_dim)
+                   for nid in self.tree.ancestors(leaf)[:-1])
+
+    def _reveal(self, leaves: list[int], policy: TruncationPolicy, truncating: bool):
+        """One walk of the orthogonality center from the root through the
+        branches of `leaves` (in postorder) and back to the root.
+
+        `path` is the walk's explicit stack, root to center. For each leaf
+        that needs revealing (every one when truncating, else the masked
+        ones, tested when the walk gets there), the center climbs with
+        `_gauge_up` out of the finished subtree to the first node shared
+        with the leaf's branch, then descends with `_split_down`. A segment
+        shared by several branches is thus factorized once each way.
         """
-        chain = self.tree.ancestors(leaf)  # leaf .. root
-        down = list(reversed(chain))
-        for parent, child in zip(down, down[1:]):
-            ci = self.tree.child_index(child)
-            t = self.tensors[parent]
-            mat = np.moveaxis(t, ci, -1).reshape(-1, t.shape[ci])
-            try:
-                fac = svd_econ(mat, threshold=RANK_TOL)
-            except FactorizationError as exc:
-                raise FactorizationError(f"node {parent}: {exc}") from exc
-            _truncate_factors(fac, policy, self)
-            rest = t.shape[:ci] + t.shape[ci + 1:]
-            self.tensors[parent] = np.moveaxis(fac.u.reshape(rest + (fac.k,)), -1, ci)
-            remainder = fac.s[:, None] * fac.v_dag  # (k, old child-edge dim)
-            ct = self.tensors[child]
-            self.tensors[child] = np.tensordot(ct, remainder, axes=(ct.ndim - 1, 1))
-        # walk back up with QR: ranks were just revealed, only the isometry
-        # gauge needs restoring
-        for nid in chain[:-1]:
-            t = self.tensors[nid]
-            try:
-                q, rem = qr_econ(t.reshape(-1, t.shape[-1]))
-            except FactorizationError as exc:
-                raise FactorizationError(f"node {nid}: {exc}") from exc
-            self.tensors[nid] = q.reshape(t.shape[:-1] + (q.shape[1],))
-            parent = self.tree.parent[nid]
-            ci = self.tree.child_index(nid)
-            merged = np.tensordot(rem, self.tensors[parent], axes=(1, ci))
-            self.tensors[parent] = np.moveaxis(merged, 0, ci)
+        path = [self.tree.postorder[-1]]
+        for leaf in leaves:
+            if not (truncating or self._masked(leaf)):
+                continue
+            branch = self.tree.ancestors(leaf)[::-1]  # root .. leaf
+            shared = 1
+            while shared < len(path) and path[shared] == branch[shared]:
+                shared += 1
+            while len(path) > shared:
+                self._gauge_up(path.pop())
+            for child in branch[shared:]:
+                self._split_down(path[-1], child, policy)
+                path.append(child)
+        while len(path) > 1:
+            self._gauge_up(path.pop())
 
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
-        """Re-orthonormalization sweep.
+        """Re-orthonormalization sweep over `nodes` (every node when None).
 
         First the bottom-up pass: children before parents (depth-first
-        postorder), each non-root node matricized downstream-by-parent, the
-        isometry kept and the singular-value remainder absorbed into the
-        parent. Then, where the policy truncates or an edge exceeds its
-        `FlatTree.edge_bound` (only the root side can bind by now), the
-        orthogonality center bounces down the affected branches to expose true
-        Schmidt spectra and prune them. Edge dimensions never grow; the root is
-        rescaled to unit norm at the end.
+        postorder), each non-root node matricized downstream-by-parent, made
+        an isometry and its remainder absorbed into the parent. In exact mode
+        this is an SVD that drops numerically zero singular values; when the
+        policy truncates it only moves the gauge (`_gauge_up`), since the
+        reveal that follows factorizes every such edge against its true
+        spectrum anyway. Then one walk (`_reveal`) moves the orthogonality
+        center down the branches that need it, to expose true Schmidt
+        spectra and prune them: every touched branch when the policy
+        truncates, else those with an edge above its `FlatTree.edge_bound`
+        (only the root side can bind by now). Edge dimensions never grow;
+        the root is rescaled to unit norm at the end.
         """
-        dirty_leaves = []
+        truncating = policy.sigma_rel > 0 or policy.d_max is not None
+        leaves = []
         for nid in self.tree.postorder:
             if self.tree.parent[nid] is None:
                 continue
             if nodes is not None and nid not in nodes:
                 continue
             if self.tree.is_leaf(nid):
-                dirty_leaves.append(nid)
-            self._factor_node(nid, EXACT)
-        truncating = policy.sigma_rel > 0 or policy.d_max is not None
-        for leaf in dirty_leaves:
-            masked = any(self.edge_dim(nid) > self.tree.edge_bound(nid, self.edge_dim)
-                         for nid in self.tree.ancestors(leaf)[:-1])
-            if truncating or masked:
-                self._reveal_branch(leaf, policy)
+                leaves.append(nid)
+            if truncating:
+                self._gauge_up(nid)
+            else:
+                self._factor_node(nid)
+        self._reveal(leaves, policy, truncating)
         root = self.tree.postorder[-1]
         nrm = np.linalg.norm(self.tensors[root])
         if nrm == 0:
@@ -309,22 +351,26 @@ class TtnState:
         if n > qubit_cap:
             raise ValueError(f"{n} qubits exceeds the contraction cap of {qubit_cap}")
 
-        def subtree(nid):
+        # postorder: every child's (tensor, qubit order) is ready before its
+        # parent contracts it; a loop, not recursion, as combs are deep
+        parts = {}
+        for nid in self.tree.postorder:
             q = self.tree.leaf_qubit[nid]
             if q is not None:
-                return self.tensors[nid], [q]
+                parts[nid] = (self.tensors[nid], [q])
+                continue
             acc = self.tensors[nid]
             order: list[int] = []
             for child in self.tree.children[nid]:
-                vec, qubits = subtree(child)
+                vec, qubits = parts.pop(child)
                 # contract the child's parent axis with acc's leading child axis;
                 # physical axes accumulate behind the remaining child axes
                 acc = np.tensordot(acc, vec, axes=(0, vec.ndim - 1))
                 order.extend(qubits)
             # axes now: (parent, phys...) with phys in child order
-            return np.moveaxis(acc, 0, -1), order
+            parts[nid] = (np.moveaxis(acc, 0, -1), order)
 
-        vec, order = subtree(self.tree.postorder[-1])
+        vec, order = parts[self.tree.postorder[-1]]
         vec = vec.reshape([2] * n)  # root parent axis is the trailing dummy
         perm = [order.index(q) for q in range(n)]
         return np.ascontiguousarray(vec.transpose(perm)).reshape(-1)

@@ -166,6 +166,21 @@ class TestCombTopology:
         assert tree.postorder[-1] == 0 and tree.height[0] == n - 1
         assert len(comb_bond_edges(tree)) == n - 1
 
+    def test_deep_combs_compare_without_recursion(self):
+        n = 3000
+        assert comb_topology(range(n)) == comb_topology(range(n))
+        swapped = list(range(n))
+        swapped[0], swapped[n - 1] = swapped[n - 1], swapped[0]
+        assert comb_topology(range(n)) != comb_topology(swapped)
+        assert comb_topology(range(n)) != comb_topology(range(n - 1))
+
+    def test_equality_is_by_shape_and_labels(self):
+        pair = TreeTopology(node([Leaf(0), Leaf(1)]))
+        assert pair == TreeTopology(node([Leaf(0), Leaf(1)]))
+        assert pair != TreeTopology(node([Leaf(1), Leaf(0)]))
+        three = [Leaf(0), Leaf(1), Leaf(2)]
+        assert TreeTopology(node(three)) != TreeTopology(node([node(three[:2]), three[2]]))
+
     def test_rejects_non_permutation(self):
         for bad in ([0, 0, 1], [1, 2, 3], []):
             with pytest.raises(ValueError):

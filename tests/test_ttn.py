@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from ttnsim.errors import MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary
 from ttnsim.statevector import fidelity, overlap_error, sv_simulate
 from ttnsim.tensors import EXACT, TruncationPolicy
-from ttnsim.topology import FlatTree, Internal, Leaf, TreeTopology, perfect_tree
+from ttnsim.topology import (FlatTree, Internal, Leaf, TreeTopology, comb_topology,
+                             perfect_tree)
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import (TtnState, entries_upper_bound, flops_bound, node_count_bound,
                         run_circuit)
@@ -196,6 +200,18 @@ class TestOrthonormalize:
             assert abs(state.norm() - 1.0) < 1e-10
 
 
+    def test_deep_comb_without_recursion(self):
+        # deeper than the interpreter's default recursion limit
+        n = 1500
+        state = TtnState.basis_state(comb_topology(range(n)), [0] * n)
+        rng = np.random.default_rng(23)
+        policy = TruncationPolicy(sigma_rel=1e-8)
+        for qa, qb in ((0, n - 1), (1, n - 2), (0, n // 2)):
+            state.apply_two_qubit(Gate("u2", (qa, qb), haar_unitary(4, rng)), policy)
+        assert state.canonical_deviation() <= 1e-10
+        assert abs(state.norm() - 1.0) < 1e-10
+
+
 class TestMetrics:
     def test_fresh_balanced_binary_counts(self):
         state = TtnState.basis_state(perfect_tree(2, 2), [0] * 4)
@@ -269,3 +285,18 @@ class TestStateReadout:
         clone = state.copy()
         state.apply_single_qubit(gates.x(0))
         assert np.allclose(clone.to_statevector(), [1, 0, 0, 0])
+
+    def test_readout_leaves_no_reference_cycle(self):
+        # with the collector off, only reference counting can free the state
+        state = TtnState.basis_state(perfect_tree(2, 2), [0, 1, 1, 0])
+        state.apply_two_qubit(gates.cnot(0, 3))
+        alive = weakref.ref(state)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            state.to_statevector()
+            del state
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
