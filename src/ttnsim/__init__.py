@@ -3,64 +3,15 @@
 The state of an N-qubit circuit is stored as a rooted tree of tensors whose
 leaves carry the qubits. A structure-search phase picks the tree from the
 circuit's two-qubit gate pattern; gates are then applied by SVD splitting and
-bond threading while the network is kept in canonical form. MPS and dense
-statevector engines with the same gate IR serve as baselines, and a symbolic
-dry-run mode tracks bond dimensions without any tensor arithmetic.
+bond threading while the network is kept in canonical form. The MPS baseline
+is the same engine on a comb-shaped tree, the dense statevector engine is the
+oracle, and a symbolic dry-run mode tracks bond dimensions without any tensor
+arithmetic.
+
+Everything else is imported from its module (`ttnsim.ttn`, `ttnsim.mps`,
+`ttnsim.dryrun`, ...); the package re-exports only the circuit generators.
 """
 
-from .circuits import Circuit, gen_lattice, gen_treelike, load_circuit, save_circuit
-from .dryrun import AdmissibilityReport, DryRunReport, admissible, dryrun, gen_triangle_pattern
-from .errors import FactorizationError, MemoryCapExceeded
-from .gates import Gate, gate_rank, split_gate
-from .mps import MpsState
-from .statevector import fidelity, overlap_error, sv_simulate
-from .tensors import EXACT, SvdFactors, TruncationPolicy, contract, merge_axes, qr_econ, svd_econ
-from .topology import FlatTree, Internal, Leaf, TreeTopology, load_topology, perfect_tree, save_topology
-from .treesearch import cluster, create_subtree, find_tree_structure, l_cluster, similarity_matrix
-from .ttn import TtnMetrics, TtnState, entries_upper_bound, flops_bound, node_count_bound
+from .circuits import gen_lattice, gen_treelike
 
-__all__ = [
-    "AdmissibilityReport",
-    "Circuit",
-    "DryRunReport",
-    "EXACT",
-    "FactorizationError",
-    "FlatTree",
-    "Gate",
-    "Internal",
-    "Leaf",
-    "MemoryCapExceeded",
-    "MpsState",
-    "SvdFactors",
-    "TreeTopology",
-    "TruncationPolicy",
-    "TtnMetrics",
-    "TtnState",
-    "admissible",
-    "cluster",
-    "contract",
-    "create_subtree",
-    "dryrun",
-    "entries_upper_bound",
-    "fidelity",
-    "find_tree_structure",
-    "flops_bound",
-    "gate_rank",
-    "gen_lattice",
-    "gen_treelike",
-    "gen_triangle_pattern",
-    "l_cluster",
-    "load_circuit",
-    "load_topology",
-    "merge_axes",
-    "node_count_bound",
-    "overlap_error",
-    "perfect_tree",
-    "qr_econ",
-    "save_circuit",
-    "save_topology",
-    "similarity_matrix",
-    "split_gate",
-    "svd_econ",
-    "sv_simulate",
-]
+__all__ = ["gen_lattice", "gen_treelike"]

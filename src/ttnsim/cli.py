@@ -25,6 +25,9 @@ from .topology import load_topology, save_topology
 from .treesearch import default_cluster_count, find_tree_structure
 from .ttn import DEFAULT_MEMORY_CAP
 
+MEMORY_CAP_HELP = ("exit 4 when the state would need more complex entries than this; for "
+                   "mps these are the comb's tensors (a spine node and a leaf per site), "
+                   "not the site-fused m_entries")
 SIMULATE_CSV_HEADER = ("engine,circuit,num_qubits,num_gates,sigma_rel,dmax,seed,"
                        "d_max_observed,m_entries,cap_events,fidelity")
 DRYRUN_CSV_HEADER = "edge_id,level,dim"
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=20, help="dense-contraction qubit cap")
     p.add_argument("--seed", type=int, default=0, help="recorded in the run record")
     p.add_argument("--order", help="mps qubit-to-site permutation, e.g. 2,0,1")
-    p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP)
+    p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP, help=MEMORY_CAP_HELP)
     p.add_argument("--metrics-out", help="write the JSON run record here")
     p.add_argument("--csv-out", help="write a one-row CSV (no timing columns, no paths: "
                                      "the circuit is named by its sha256)")
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax-a", type=int)
     p.add_argument("--dmax-b", type=int)
     p.add_argument("--cap", type=int, default=20)
-    p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP)
+    p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP, help=MEMORY_CAP_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 

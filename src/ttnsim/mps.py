@@ -1,33 +1,25 @@
-"""Matrix-product-state baseline engine sharing the TTN gate IR.
+"""Matrix-product-state baseline: the tree engine on a comb.
 
-Site tensors have axes (left bond, physical=2, right bond) with dimension-1
-boundary bonds. The canonical form is right-canonical: contracting a site
-with its conjugate over (physical, right) gives the identity on the left
-bond. Long-range two-qubit gates are threaded, not swapped: the split gate's
-bond index travels through every intermediate site, multiplying its bonds by
-k, which is exactly the cost model the tree engine is compared against.
+An MPS in a qubit-to-site order is a `TtnState` on `comb_topology(order)`,
+the tree node(site 0, node(site 1, ... node(site n-2, site n-1))). Bond j
+is the edge above the spine node that holds sites j+1..n-1, and the root
+(site 0's spine node) carries the norm, as in a right-canonical MPS. A
+long-range two-qubit gate threads its bond along the spine, multiplying
+every bond between its sites by k, which is exactly the cost model the tree
+engine is compared against. Sizes are reported per site as an MPS stores
+them: (left bond, physical=2, right bond).
 """
 
-import math
-
-import numpy as np
-
 from .circuits import Circuit
-from .errors import FactorizationError, MemoryCapExceeded
-from .gates import Gate, split_gate
-from .tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
-from .ttn import (DEFAULT_MEMORY_CAP, STATEVECTOR_QUBIT_CAP, TtnMetrics, _expand_pair,
-                  _truncate_factors)
+# split_gate, svd_econ and qr_econ are unused here: bench/workloads.py:instrument patches them
+from .gates import split_gate  # noqa: F401
+from .tensors import EXACT, TruncationPolicy, qr_econ, svd_econ  # noqa: F401
+from .topology import comb_bond_edges, comb_topology
+from .ttn import DEFAULT_MEMORY_CAP, TtnMetrics, TtnState
 
 
-class MpsState:
-    """Mutable MPS statevector over a fixed qubit-to-site order."""
-
-    def __init__(self, sites: list[np.ndarray], site_of, memory_cap: int = DEFAULT_MEMORY_CAP):
-        self.sites = sites
-        self.site_of = list(site_of)  # qubit -> site position
-        self.memory_cap = memory_cap
-        self.cap_events = 0
+class MpsState(TtnState):
+    """Mutable MPS statevector: a TTN state on a comb in a fixed site order."""
 
     @classmethod
     def basis_state(cls, num_qubits: int, bits, order=None,
@@ -36,160 +28,22 @@ class MpsState:
 
         `order` maps qubit -> site; the default is the identity order.
         """
-        bits = list(bits)
-        if len(bits) != num_qubits:
-            raise ValueError(f"expected {num_qubits} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        site_of = list(range(num_qubits)) if order is None else list(order)
-        if sorted(site_of) != list(range(num_qubits)):
-            raise ValueError("order must be a permutation of the qubits")
-        sites: list[np.ndarray] = [np.empty(0)] * num_qubits
-        for q in range(num_qubits):
-            vec = np.array([1.0 - bits[q], bits[q]], dtype=np.complex128)
-            sites[site_of[q]] = vec.reshape(1, 2, 1)
-        return cls(sites, site_of, memory_cap)
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.sites)
-
-    def copy(self) -> "MpsState":
-        clone = MpsState([t.copy() for t in self.sites], self.site_of, self.memory_cap)
-        clone.cap_events = self.cap_events
-        return clone
+        order = list(range(num_qubits)) if order is None else list(order)
+        if len(order) != num_qubits:
+            raise ValueError(f"order has {len(order)} sites for {num_qubits} qubits")
+        return super().basis_state(comb_topology(order), bits, memory_cap=memory_cap)
 
     def bond_dims(self) -> list[int]:
-        """Dimensions of the num_sites - 1 interior bonds."""
-        return [self.sites[j].shape[2] for j in range(self.num_sites - 1)]
-
-    # -- gate application ---------------------------------------------------
-
-    def apply_single_qubit(self, g: Gate):
-        if g.num_qubits != 1:
-            raise ValueError("expected a one-qubit gate")
-        j = self.site_of[g.qubits[0]]
-        self.sites[j] = np.tensordot(g.matrix, self.sites[j], axes=(1, 1)).transpose(1, 0, 2)
-        return self
-
-    def thread_two_qubit(self, g: Gate):
-        """Absorb the split-gate factors at the two target sites and thread
-        the k-dimensional bond through every site between them.
-
-        The designated lower site carries the compensating 1/sqrt(k), so the
-        intermediate identity connectors leave those sites right-canonical.
-        """
-        if g.num_qubits != 2:
-            raise ValueError("expected a two-qubit gate")
-        qa, qb = g.qubits
-        g_a, g_b, k = split_gate(g)
-        sa, sb = self.site_of[qa], self.site_of[qb]
-        if sa > sb:
-            sa, sb, g_a, g_b = sb, sa, g_b, g_a
-
-        affected = (self.sites[sa].size + self.sites[sb].size) * k
-        affected += sum(self.sites[j].size for j in range(sa + 1, sb)) * k * k
-        untouched = sum(t.size for j, t in enumerate(self.sites) if j < sa or j > sb)
-        if untouched + affected > self.memory_cap:
-            raise MemoryCapExceeded(
-                f"gate {g.label} on {g.qubits} needs {untouched + affected} entries "
-                f"(cap {self.memory_cap})"
-            )
-
-        left = self.sites[sa]  # (l, p, r): fuse the bond into the right axis
-        left = np.tensordot(g_a, left, axes=(1, 1))  # (p_out, k, l, r)
-        left = left.transpose(2, 0, 3, 1).reshape(left.shape[2], 2, -1)
-        self.sites[sa] = left / math.sqrt(k)
-
-        right = self.sites[sb]  # fuse the bond into the left axis
-        right = np.tensordot(g_b, right, axes=(1, 1))  # (p_out, k, l, r)
-        right = right.transpose(2, 1, 0, 3).reshape(-1, 2, right.shape[3])
-        self.sites[sb] = right
-
-        for j in range(sa + 1, sb):
-            self.sites[j] = _expand_pair(self.sites[j], 0, 2, k)
-        return self
-
-    def apply_two_qubit(self, g: Gate, policy: TruncationPolicy = EXACT):
-        self.thread_two_qubit(g)
-        self.orthonormalize(policy)
-        return self
-
-    def apply(self, g: Gate, policy: TruncationPolicy = EXACT):
-        if g.num_qubits == 1:
-            return self.apply_single_qubit(g)
-        return self.apply_two_qubit(g, policy)
-
-    # -- canonical form -----------------------------------------------------
-
-    def orthonormalize(self, policy: TruncationPolicy = EXACT):
-        """One left-to-right QR pass then one right-to-left SVD pass.
-
-        After the first pass every site left of the walker is left-canonical,
-        so the singular values seen on the way back are the true Schmidt
-        coefficients of each bond and truncation by `policy` is well founded.
-        Ends right-canonical with the norm pushed into site 0, which is then
-        rescaled to 1.
-        """
-        n = self.num_sites
-        for j in range(n - 1):
-            t = self.sites[j]
-            l, p, r = t.shape
-            try:
-                q, rem = qr_econ(t.reshape(l * p, r))
-            except FactorizationError as exc:
-                raise FactorizationError(f"site {j}: {exc}") from exc
-            self.sites[j] = q.reshape(l, p, -1)
-            self.sites[j + 1] = np.tensordot(rem, self.sites[j + 1], axes=(1, 0))
-        for j in range(n - 1, 0, -1):
-            t = self.sites[j]
-            l, p, r = t.shape
-            try:
-                fac = svd_econ(t.reshape(l, p * r), threshold=RANK_TOL)
-            except FactorizationError as exc:
-                raise FactorizationError(f"site {j}: {exc}") from exc
-            _truncate_factors(fac, policy, self)
-            self.sites[j] = fac.v_dag.reshape(-1, p, r)
-            carry = fac.u * fac.s
-            self.sites[j - 1] = np.tensordot(self.sites[j - 1], carry, axes=(2, 0))
-        nrm = np.linalg.norm(self.sites[0])
-        if nrm == 0:
-            raise FactorizationError("state collapsed to zero norm")
-        self.sites[0] = self.sites[0] / nrm
-        return self
-
-    def canonical_deviation(self) -> float:
-        """Largest deviation from right-canonical form over sites 1..n-1."""
-        worst = 0.0
-        for j in range(1, self.num_sites):
-            t = self.sites[j]
-            mat = t.reshape(t.shape[0], -1)
-            gram = mat @ mat.conj().T
-            worst = max(worst, float(np.linalg.norm(gram - np.eye(t.shape[0]))))
-        return worst
-
-    def norm(self) -> float:
-        """Global norm; equals site 0's norm when right-canonical."""
-        return float(np.linalg.norm(self.sites[0]))
-
-    # -- read-out -----------------------------------------------------------
-
-    def to_statevector(self, qubit_cap: int = STATEVECTOR_QUBIT_CAP) -> np.ndarray:
-        n = self.num_sites
-        if n > qubit_cap:
-            raise ValueError(f"{n} qubits exceeds the contraction cap of {qubit_cap}")
-        acc = self.sites[0]
-        for j in range(1, n):
-            acc = np.tensordot(acc, self.sites[j], axes=(acc.ndim - 1, 0))
-        vec = acc.reshape([2] * n)  # site-major axes; boundary dummies collapse
-        perm = [self.site_of[q] for q in range(n)]
-        return np.ascontiguousarray(vec.transpose(perm)).reshape(-1)
+        """Dimensions of the num_qubits - 1 interior bonds, in site order."""
+        return [self.edge_dim(edge) for edge in comb_bond_edges(self.tree)]
 
     def metrics(self) -> TtnMetrics:
-        d_max = max(max(t.shape) for t in self.sites)
-        m_entries = sum(t.size for t in self.sites)
-        edges = {(j, 0): self.sites[j].shape[2] for j in range(self.num_sites - 1)}
-        return TtnMetrics(int(d_max), int(m_entries), edges)
+        """Site-fused sizes: site j stores bond j-1 x 2 x bond j entries
+        (boundary bonds 1), and edge (j, 0) is bond j."""
+        bonds = self.bond_dims()
+        outer = [1] + bonds + [1]
+        m_entries = sum(2 * left * right for left, right in zip(outer, outer[1:]))
+        return TtnMetrics(max([2] + bonds), m_entries, {(j, 0): d for j, d in enumerate(bonds)})
 
 
 def run_circuit(circuit: Circuit, policy: TruncationPolicy = EXACT, bits=None, order=None,

@@ -133,16 +133,6 @@ class TruncationPolicy:
         if self.d_max is not None and self.d_max < 1:
             raise ValueError("d_max must be at least 1")
 
-    @property
-    def mode(self) -> str:
-        if self.sigma_rel > 0 and self.d_max is not None:
-            return "both"
-        if self.sigma_rel > 0:
-            return "threshold"
-        if self.d_max is not None:
-            return "cap"
-        return "exact"
-
 
 EXACT = TruncationPolicy()
 

@@ -4,7 +4,7 @@
 and the file format stores); `FlatTree` is the derived indexed view (parents,
 children, paths, and the min-rule bound of an edge) that the TTN engine and
 the dry-run walker work on. `comb_topology` is the MPS site order written as
-a tree, so the MPS dry-run is the tree dry-run on a comb.
+a tree, so the MPS engine and its dry-run are the tree ones on a comb.
 """
 
 import json

@@ -52,9 +52,6 @@ class SimilarityMatrix:
                     out[i, j] = float(self.exact(i, j))
         return out
 
-    def degree(self, q: int) -> int:
-        return int(self._degree[q])
-
 
 def similarity_matrix(circuit: Circuit) -> SimilarityMatrix:
     return SimilarityMatrix(circuit)

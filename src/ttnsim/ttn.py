@@ -12,13 +12,13 @@ node on the tree path between them; the identity connectors keep interior
 nodes isometric (the turning node carries the compensating 1/sqrt(k)), so a
 re-orthonormalization of the touched branches restores canonical form.
 
-That sweep is a bottom-up pass followed by one walk of the orthogonality
-center. In exact mode the bottom-up pass takes an SVD per node, which
-already finds most ranks. When the policy truncates it only moves the gauge
-(identity or QR, no rank search), because the walk SVDs every touched edge
-against its true Schmidt spectrum anyway. The walk goes down the union of
-the branches that need it in child order and climbs back after each
-subtree, so a segment the two gate branches share is factorized once.
+That sweep is the same for every truncation policy: a bottom-up pass that
+only moves the gauge (identity or QR, no rank search), then one walk of the
+orthogonality center that SVDs every touched edge against the state's true
+Schmidt spectrum. Exact mode keeps each edge at its Schmidt rank there, and
+a truncating policy cuts there. The walk goes down the union of the touched
+branches in child order and climbs back after each subtree, so a segment
+the two gate branches share is factorized once.
 """
 
 import math
@@ -125,7 +125,7 @@ class TtnState:
         return cls(tree, tensors, memory_cap)
 
     def copy(self) -> "TtnState":
-        clone = TtnState(self.tree, [t.copy() for t in self.tensors], self.memory_cap)
+        clone = type(self)(self.tree, [t.copy() for t in self.tensors], self.memory_cap)
         clone.cap_events = self.cap_events
         return clone
 
@@ -206,19 +206,11 @@ class TtnState:
         self.tensors[nid] = iso.reshape(t.shape[:-1] + (iso.shape[1],))
         parent = self.tree.parent[nid]
         ci = self.tree.child_index(nid)
-        merged = np.tensordot(remainder, self.tensors[parent], axes=(1, ci))
-        self.tensors[parent] = np.moveaxis(merged, 0, ci)
-
-    def _factor_node(self, nid: int):
-        """Exact upward move: the isometry of the node's economical SVD, with
-        numerically zero singular values dropped, so the new parent edge
-        carries the rank seen from below."""
-        t = self.tensors[nid]
-        try:
-            fac = svd_econ(t.reshape(-1, t.shape[-1]), threshold=RANK_TOL)
-        except FactorizationError as exc:
-            raise FactorizationError(f"node {nid}: {exc}") from exc
-        self._absorb_up(nid, fac.u, fac.s[:, None] * fac.v_dag)
+        pt = self.tensors[parent]
+        # on (before, edge, after) stacks one matmul replaces the edge axis in place
+        merged = remainder @ pt.reshape(math.prod(pt.shape[:ci]), pt.shape[ci], -1)
+        new_shape = pt.shape[:ci] + (remainder.shape[0],) + pt.shape[ci + 1:]
+        self.tensors[parent] = merged.reshape(new_shape)
 
     def _gauge_up(self, nid: int):
         """Gauge-only upward move, no rank search. A node whose downstream
@@ -244,39 +236,33 @@ class TtnState:
         minimal edge dimension and is where the policy truncates."""
         ci = self.tree.child_index(child)
         t = self.tensors[parent]
-        mat = np.moveaxis(t, ci, -1).reshape(-1, t.shape[ci])
+        before = math.prod(t.shape[:ci])
+        stacked = t.reshape(before, t.shape[ci], -1)  # (before, edge, after)
+        mat = stacked.transpose(0, 2, 1).reshape(-1, t.shape[ci])
         try:
             fac = svd_econ(mat, threshold=RANK_TOL)
         except FactorizationError as exc:
             raise FactorizationError(f"node {parent}: {exc}") from exc
         _truncate_factors(fac, policy, self)
-        rest = t.shape[:ci] + t.shape[ci + 1:]
-        self.tensors[parent] = np.moveaxis(fac.u.reshape(rest + (fac.k,)), -1, ci)
+        u = fac.u.reshape(before, -1, fac.k).transpose(0, 2, 1)
+        self.tensors[parent] = u.reshape(t.shape[:ci] + (fac.k,) + t.shape[ci + 1:])
         remainder = fac.s[:, None] * fac.v_dag  # (k, old child-edge dim)
         ct = self.tensors[child]
-        self.tensors[child] = np.tensordot(ct, remainder, axes=(ct.ndim - 1, 1))
+        merged = ct.reshape(-1, ct.shape[-1]) @ remainder.T
+        self.tensors[child] = merged.reshape(ct.shape[:-1] + (fac.k,))
 
-    def _masked(self, leaf: int) -> bool:
-        """Whether an edge between `leaf` and the root exceeds its
-        `FlatTree.edge_bound`, a rank the upward pass could not see."""
-        return any(self.edge_dim(nid) > self.tree.edge_bound(nid, self.edge_dim)
-                   for nid in self.tree.ancestors(leaf)[:-1])
-
-    def _reveal(self, leaves: list[int], policy: TruncationPolicy, truncating: bool):
+    def _reveal(self, leaves: list[int], policy: TruncationPolicy):
         """One walk of the orthogonality center from the root through the
         branches of `leaves` (in postorder) and back to the root.
 
         `path` is the walk's explicit stack, root to center. For each leaf
-        that needs revealing (every one when truncating, else the masked
-        ones, tested when the walk gets there), the center climbs with
-        `_gauge_up` out of the finished subtree to the first node shared
-        with the leaf's branch, then descends with `_split_down`. A segment
-        shared by several branches is thus factorized once each way.
+        the center climbs with `_gauge_up` out of the finished subtree to
+        the first node shared with the leaf's branch, then descends with
+        `_split_down`. A segment shared by several branches is thus
+        factorized once each way.
         """
         path = [self.tree.postorder[-1]]
         for leaf in leaves:
-            if not (truncating or self._masked(leaf)):
-                continue
             branch = self.tree.ancestors(leaf)[::-1]  # root .. leaf
             shared = 1
             while shared < len(path) and path[shared] == branch[shared]:
@@ -290,22 +276,20 @@ class TtnState:
             self._gauge_up(path.pop())
 
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
-        """Re-orthonormalization sweep over `nodes` (every node when None).
+        """Re-orthonormalization sweep over `nodes` (every node when None),
+        the same for every policy.
 
-        First the bottom-up pass: children before parents (depth-first
-        postorder), each non-root node matricized downstream-by-parent, made
-        an isometry and its remainder absorbed into the parent. In exact mode
-        this is an SVD that drops numerically zero singular values; when the
-        policy truncates it only moves the gauge (`_gauge_up`), since the
-        reveal that follows factorizes every such edge against its true
-        spectrum anyway. Then one walk (`_reveal`) moves the orthogonality
-        center down the branches that need it, to expose true Schmidt
-        spectra and prune them: every touched branch when the policy
-        truncates, else those with an edge above its `FlatTree.edge_bound`
-        (only the root side can bind by now). Edge dimensions never grow;
-        the root is rescaled to unit norm at the end.
+        First a bottom-up pass that only moves the gauge (`_gauge_up`):
+        children before parents (depth-first postorder), each non-root node
+        made an isometry towards its parent, its remainder absorbed into the
+        parent. No rank is searched for there. Then one walk (`_reveal`)
+        moves the orthogonality center down every touched branch and back,
+        splitting each touched edge by SVD against the state's true Schmidt
+        spectrum: exact mode drops only numerically zero values, so every
+        edge ends at its Schmidt rank, and a truncating policy cuts there.
+        Edge dimensions never grow; the root is rescaled to unit norm at the
+        end.
         """
-        truncating = policy.sigma_rel > 0 or policy.d_max is not None
         leaves = []
         for nid in self.tree.postorder:
             if self.tree.parent[nid] is None:
@@ -314,11 +298,8 @@ class TtnState:
                 continue
             if self.tree.is_leaf(nid):
                 leaves.append(nid)
-            if truncating:
-                self._gauge_up(nid)
-            else:
-                self._factor_node(nid)
-        self._reveal(leaves, policy, truncating)
+            self._gauge_up(nid)
+        self._reveal(leaves, policy)
         root = self.tree.postorder[-1]
         nrm = np.linalg.norm(self.tensors[root])
         if nrm == 0:

@@ -101,10 +101,11 @@ class TestSimulate:
         rec = json.loads(rec_path.read_text())
         assert rec["sigma_rel"] == 1e-3 and rec["dmax"] == 8
 
-    def test_memory_cap_exit_4(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["ttn", "mps"])
+    def test_memory_cap_exit_4(self, tmp_path, engine):
         circ = tmp_path / "c.json"
         run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
-        assert run(["simulate", "--circuit", circ, "--memory-cap", 50]) == 4
+        assert run(["simulate", "--circuit", circ, "--engine", engine, "--memory-cap", 50]) == 4
 
     @pytest.mark.parametrize("flags, code", [(["--cap", 3], 2), (["--memory-cap", 15], 4),
                                              (["--cap", 4, "--memory-cap", 16], 0)])

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -267,3 +268,12 @@ class TestTrianglePattern:
 
 def test_random_orders_deterministic():
     assert random_qubit_orders(10, 3, seed=7) == random_qubit_orders(10, 3, seed=7)
+
+
+def test_import_as_binds_the_module():
+    # the package exports no function named like a submodule, so the
+    # submodule attribute is never shadowed
+    import ttnsim
+    import ttnsim.dryrun as d
+    assert d is sys.modules["ttnsim.dryrun"]
+    assert d.dryrun is dryrun and ttnsim.dryrun is d

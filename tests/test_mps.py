@@ -1,15 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ttnsim import gates
 from ttnsim.circuits import Circuit, gen_treelike
 from ttnsim.errors import MemoryCapExceeded
-from ttnsim.gates import Gate, haar_unitary
+from ttnsim.gates import Gate, haar_unitary, split_gate
 from ttnsim.mps import MpsState, run_circuit
-from ttnsim.statevector import fidelity, overlap_error, sv_simulate
-from ttnsim.tensors import EXACT, TruncationPolicy
-from ttnsim.topology import perfect_tree
+from ttnsim.statevector import fidelity, sv_simulate
+from ttnsim.tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
+from ttnsim.topology import comb_bond_edges
 from ttnsim.treesearch import find_tree_structure
+from ttnsim.ttn import _expand_pair
 from ttnsim.ttn import run_circuit as ttn_run_circuit
 
 
@@ -48,6 +53,15 @@ class TestBasisState:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             MpsState.basis_state(3, [0, 0, 0], order=[0, 0, 1])
+        with pytest.raises(ValueError):
+            MpsState.basis_state(3, [0, 0, 0], order=[1, 0])
+
+    def test_copy_stays_an_mps(self):
+        state = MpsState.basis_state(3, [0, 1, 0], order=[2, 0, 1])
+        clone = state.copy()
+        state.apply_single_qubit(gates.x(1))
+        assert isinstance(clone, MpsState) and clone.bond_dims() == [1, 1]
+        assert clone.to_statevector()[2] == 1.0
 
 
 class TestGateApplication:
@@ -63,8 +77,11 @@ class TestGateApplication:
         state = MpsState.basis_state(3, [0, 0, 0])
         state.apply_single_qubit(gates.h(0))
         state.thread_two_qubit(gates.cnot(0, 2))
-        # before the sweep the middle site carries the k=2 bond on both sides
-        assert state.sites[1].shape == (2, 2, 2)
+        # before the sweep the middle site's spine node carries the k=2 bond
+        # on both sides: (site 1's leaf edge, bond 1, bond 0)
+        spine = comb_bond_edges(state.tree)[0]
+        assert state.tensors[spine].shape == (1, 2, 2)
+        assert state.bond_dims() == [2, 2]
         state.orthonormalize(EXACT)
         vec = state.to_statevector()
         root2 = 1 / np.sqrt(2)
@@ -78,11 +95,12 @@ class TestGateApplication:
             state.apply(g)
         sa, sb = 0, 5
         state.thread_two_qubit(Gate("u2", (sa, sb), haar_unitary(4, rng)))
-        for j in range(sa + 1, sb):
-            t = state.sites[j]
-            mat = t.reshape(t.shape[0], -1)
-            gram = mat @ mat.conj().T
-            assert np.linalg.norm(gram - np.eye(t.shape[0])) < 1e-10
+        # the spine nodes of sites 1..4, each an isometry towards its parent
+        for spine in comb_bond_edges(state.tree)[sa:sb - 1]:
+            t = state.tensors[spine]
+            mat = t.reshape(-1, t.shape[-1])
+            gram = mat.conj().T @ mat
+            assert np.linalg.norm(gram - np.eye(t.shape[-1])) < 1e-10
 
     def test_ten_qubit_random_circuit_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -176,3 +194,95 @@ class TestCrossEngine:
         m_ttn = ttn_run_circuit(c, topo).metrics().m_entries
         m_mps = run_circuit(c).metrics().m_entries
         assert m_mps > m_ttn
+
+
+class ReferenceMps:
+    """The earlier chain engine, kept as a reference: sites (left, physical,
+    right), the split gate's bond threaded through every site between the
+    targets, then a two-pass sweep over the whole chain (left-to-right QR,
+    right-to-left SVD)."""
+
+    def __init__(self, num_qubits, order):
+        self.site_of = list(order)
+        self.sites = [np.array([1.0, 0.0], dtype=np.complex128).reshape(1, 2, 1)] * num_qubits
+
+    def apply(self, g):
+        if g.num_qubits == 1:
+            j = self.site_of[g.qubits[0]]
+            self.sites[j] = np.tensordot(g.matrix, self.sites[j], axes=(1, 1)).transpose(1, 0, 2)
+            return
+        g_a, g_b, k = split_gate(g)
+        sa, sb = (self.site_of[q] for q in g.qubits)
+        if sa > sb:
+            sa, sb, g_a, g_b = sb, sa, g_b, g_a
+        left = np.tensordot(g_a, self.sites[sa], axes=(1, 1))  # (p_out, k, l, r)
+        self.sites[sa] = left.transpose(2, 0, 3, 1).reshape(left.shape[2], 2, -1) / math.sqrt(k)
+        right = np.tensordot(g_b, self.sites[sb], axes=(1, 1))
+        self.sites[sb] = right.transpose(2, 1, 0, 3).reshape(-1, 2, right.shape[3])
+        for j in range(sa + 1, sb):
+            self.sites[j] = _expand_pair(self.sites[j], 0, 2, k)
+        self.sweep()
+
+    def sweep(self):
+        n = len(self.sites)
+        for j in range(n - 1):
+            l, p, r = self.sites[j].shape
+            q, rem = qr_econ(self.sites[j].reshape(l * p, r))
+            self.sites[j] = q.reshape(l, p, -1)
+            self.sites[j + 1] = np.tensordot(rem, self.sites[j + 1], axes=(1, 0))
+        for j in range(n - 1, 0, -1):
+            l, p, r = self.sites[j].shape
+            fac = svd_econ(self.sites[j].reshape(l, p * r), threshold=RANK_TOL)
+            self.sites[j] = fac.v_dag.reshape(-1, p, r)
+            self.sites[j - 1] = np.tensordot(self.sites[j - 1], fac.u * fac.s, axes=(2, 0))
+        self.sites[0] = self.sites[0] / np.linalg.norm(self.sites[0])
+
+    def bond_dims(self):
+        return [t.shape[2] for t in self.sites[:-1]]
+
+    def to_statevector(self):
+        acc = self.sites[0]
+        for t in self.sites[1:]:
+            acc = np.tensordot(acc, t, axes=(acc.ndim - 1, 0))
+        vec = acc.reshape([2] * len(self.sites))  # site-major axes
+        return np.ascontiguousarray(vec.transpose(self.site_of)).reshape(-1)
+
+
+@st.composite
+def circuits_and_orders(draw):
+    """Up to 9 qubits and 25 gates (Haar, Clifford, product and one-qubit),
+    in the identity order or a drawn one."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["haar", "haar", "cnot", "cz", "swap", "product", "single"])
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    c = Circuit(n)
+    for (qa, qb), kind in draw(st.lists(st.tuples(pairs, kinds), min_size=1, max_size=25)):
+        if kind == "single":
+            c.append(Gate("u1", (qa,), haar_unitary(2, rng)))
+        elif kind == "haar":
+            c.append(Gate("u2", (qa, qb), haar_unitary(4, rng)))
+        elif kind == "product":  # Schmidt rank 1
+            c.append(Gate("u1u1", (qa, qb), np.kron(haar_unitary(2, rng), haar_unitary(2, rng))))
+        else:
+            c.append(getattr(gates, kind)(qa, qb))
+    return c, list(order)
+
+
+class TestAgainstChainEngine:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(circuits_and_orders())
+    def test_exact_mode_matches_chain_engine(self, case):
+        circuit, order = case
+        state = MpsState.basis_state(circuit.num_qubits, [0] * circuit.num_qubits, order=order)
+        ref = ReferenceMps(circuit.num_qubits, order)
+        for g in circuit.gates:
+            state.apply(g)
+            ref.apply(g)
+            assert state.bond_dims() == ref.bond_dims()
+        psi = state.to_statevector()
+        assert fidelity(ref.to_statevector(), psi) >= 1 - 1e-10
+        assert fidelity(sv_simulate(circuit), psi) >= 1 - 1e-10
+        assert state.canonical_deviation() < 1e-10

@@ -185,12 +185,6 @@ class TestQrEcon:
 
 
 class TestTruncationPolicy:
-    def test_modes(self):
-        assert TruncationPolicy().mode == "exact"
-        assert TruncationPolicy(sigma_rel=1e-4).mode == "threshold"
-        assert TruncationPolicy(d_max=16).mode == "cap"
-        assert TruncationPolicy(sigma_rel=1e-4, d_max=16).mode == "both"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(sigma_rel=1.0)

@@ -199,6 +199,13 @@ class TestOrthonormalize:
             assert state.canonical_deviation() < 1e-10
             assert abs(state.norm() - 1.0) < 1e-10
 
+    def test_exact_mode_keeps_true_schmidt_ranks(self):
+        # SWAP has operator Schmidt rank 4, but SWAP|00> = |00> is a product
+        # state, so both leaf edges must come back to 1
+        state = TtnState.basis_state(perfect_tree(2, 1), [0, 0])
+        state.apply_two_qubit(gates.swap(0, 1))
+        assert [state.edge_dim(1), state.edge_dim(2)] == [1, 1]
+        assert np.allclose(state.to_statevector(), [1, 0, 0, 0], atol=1e-12)
 
     def test_deep_comb_without_recursion(self):
         # deeper than the interpreter's default recursion limit

@@ -1,7 +1,8 @@
 """Property suite for the TTN sweep: generated trees x generated two-qubit
-circuits x truncation policies, checked against a test-local copy of the earlier
-sweep (an exact upward SVD pass, then one root-to-leaf reveal per leaf) and
-against the dense oracle."""
+circuits x truncation policies, checked against a test-local copy of an earlier
+sweep (an exact upward SVD pass, then one root-to-leaf reveal per leaf that
+needs it), against the dense state's Schmidt ranks and against the dense
+oracle."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -93,22 +94,34 @@ def schmidt_values(vec, tree, edge):
 
 def assert_same_sweep(state, ref, policy):
     """The sweep's result against the reference's from the same input: the
-    same state, cap events and edge dims, and canonical form.
+    same state and cap events, canonical form, and edge dims as below.
 
-    A truncating walk splits an edge above the gate's turning node once,
-    before the branches below it are truncated; when those cuts leave the
-    state a product across that edge, the edge keeps a numerically zero
+    Exact mode keeps every edge at the state's Schmidt rank (values above
+    1e-10 of the largest). The reference's exact upward SVDs see ranks only
+    from below and reveal just the branches whose edges exceed the min-rule
+    bound, so it can keep numerically zero Schmidt values; there a dim may
+    fall below the reference's.
+
+    Under truncation, a walk splits an edge above the gate's turning node
+    once, before the branches below it are truncated; when those cuts leave
+    the state a product across that edge, the edge keeps a numerically zero
     Schmidt value that the reference's second root-to-leaf reveal drops.
-    That is the one difference allowed, and only under truncation.
+    That is the one difference allowed there.
     """
     assert state.cap_events == ref.cap_events
     assert state.canonical_deviation() <= 1e-10
-    vec = state.to_statevector()
-    assert fidelity(ref.to_statevector(), vec) >= 1 - 1e-10
+    vec, ref_vec = state.to_statevector(), ref.to_statevector()
+    assert fidelity(ref_vec, vec) >= 1 - 1e-10
     for edge in range(1, state.tree.num_nodes):
         dim, ref_dim = state.edge_dim(edge), ref.edge_dim(edge)
-        if dim != ref_dim:
-            assert policy != EXACT and dim > ref_dim
+        if policy == EXACT:
+            spectrum = schmidt_values(vec, state.tree, edge)
+            assert dim == np.count_nonzero(spectrum > 1e-10 * spectrum[0])
+        if dim < ref_dim:
+            assert policy == EXACT
+            assert max(schmidt_values(ref_vec, state.tree, edge)[dim:]) <= 1e-10
+        elif dim > ref_dim:
+            assert policy != EXACT
             assert max(schmidt_values(vec, state.tree, edge)[ref_dim:]) <= 1e-10
 
 
@@ -171,8 +184,7 @@ class TestSweepProperties:
     @settings(PROPERTY, max_examples=200)
     @given(trees_and_circuits())
     def test_exact_sweeps_reveal_as_reference(self, case):
-        # which branches exact mode reveals depends on the dims the branches
-        # before it left, so this runs the one policy where that matters
+        # exact mode is where every edge must land on its Schmidt rank
         circuit, topo = case
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
         for g in circuit.gates:
