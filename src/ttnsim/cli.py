@@ -9,6 +9,7 @@ records. Exit codes: 0 success, 2 validation error, 3 numerical failure,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -20,10 +21,10 @@ from .circuits import Circuit, dumps_circuit, fmt17, gen_lattice, gen_treelike, 
     save_circuit
 from .dryrun import admissible, dryrun, gen_triangle_pattern
 from .errors import FactorizationError, MemoryCapExceeded
+from .statevector import DEFAULT_MEMORY_CAP, DEFAULT_QUBIT_CAP
 from .tensors import TruncationPolicy
 from .topology import load_topology, save_topology
 from .treesearch import default_cluster_count, find_tree_structure
-from .ttn import DEFAULT_MEMORY_CAP
 
 MEMORY_CAP_HELP = ("exit 4 when the state would need more complex entries than this; for "
                    "mps these are the comb's tensors (a spine node and a leaf per site), "
@@ -57,10 +58,6 @@ class RunRecord:
     fidelity: float | None
 
 
-def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(sigma_rel=args.sigma_rel, d_max=args.dmax)
-
-
 def _parse_order(text: str | None, n: int):
     if text is None:
         return None
@@ -73,53 +70,40 @@ def _parse_order(text: str | None, n: int):
 def _plan_topology(args, circuit: Circuit):
     if getattr(args, "topology", None):
         return load_topology(args.topology)
-    clusters = args.clusters or default_cluster_count(circuit.num_qubits)
+    clusters = default_cluster_count(circuit.num_qubits) if args.clusters is None else args.clusters
     return find_tree_structure(circuit, clusters)
 
 
-def _simulate_run(args, circuit: Circuit) -> RunRecord:
-    policy = _policy(args)
-    order = _parse_order(args.order, circuit.num_qubits)
-    per_gate = []
-    if args.engine == "ttn":
-        topo = _plan_topology(args, circuit)
-        state = ttn.TtnState.basis_state(topo, [0] * circuit.num_qubits,
-                                         memory_cap=args.memory_cap)
-    elif args.engine == "mps":
-        state = mps.MpsState.basis_state(circuit.num_qubits, [0] * circuit.num_qubits,
-                                         order=order, memory_cap=args.memory_cap)
-    else:
-        state = None
+def _new_state(engine: str, args, circuit: Circuit, topo, order):
+    """|0...0> on `engine` under the run's caps; the only branch on an engine
+    name. `topo()` gives the ttn topology, `order` is the mps --order text."""
+    bits = [0] * circuit.num_qubits
+    if engine == "ttn":
+        return ttn.TtnState.basis_state(topo(), bits, memory_cap=args.memory_cap)
+    if engine == "mps":
+        return mps.MpsState.basis_state(circuit.num_qubits, bits,
+                                        order=_parse_order(order, circuit.num_qubits),
+                                        memory_cap=args.memory_cap)
+    return statevector.DenseState(bits, qubit_cap=args.cap, memory_cap=args.memory_cap)
 
-    if args.engine == "statevector":
-        if circuit.num_qubits > args.cap:
-            raise ValueError(f"{circuit.num_qubits} qubits exceeds the cap of {args.cap}")
-        if 2**circuit.num_qubits > args.memory_cap:
-            raise MemoryCapExceeded(f"{2**circuit.num_qubits} entries (cap {args.memory_cap})")
-        start = time.perf_counter()
-        vec = statevector.basis_vector([0] * circuit.num_qubits)
-        for g in circuit.gates:
-            t0 = time.perf_counter()
-            vec = statevector.apply_gate(vec, g, circuit.num_qubits)
-            per_gate.append(time.perf_counter() - t0)
-        total = time.perf_counter() - start
-        d_max, m_entries, cap_events = 2, vec.size, 0
-        psi = vec
-    else:
-        start = time.perf_counter()
-        for g in circuit.gates:
-            t0 = time.perf_counter()
-            state.apply(g, policy)
-            per_gate.append(time.perf_counter() - t0)
-        total = time.perf_counter() - start
-        m = state.metrics()
-        d_max, m_entries, cap_events = m.d_max_observed, m.m_entries, state.cap_events
-        psi = state.to_statevector(args.cap) if circuit.num_qubits <= args.cap else None
+
+def _simulate_run(args, circuit: Circuit) -> RunRecord:
+    policy = TruncationPolicy(sigma_rel=args.sigma_rel, d_max=args.dmax)
+    state = _new_state(args.engine, args, circuit, lambda: _plan_topology(args, circuit),
+                       args.order)
+    per_gate = []
+    start = time.perf_counter()
+    for g in circuit.gates:
+        t0 = time.perf_counter()
+        state.apply(g, policy)
+        per_gate.append(time.perf_counter() - t0)
+    total = time.perf_counter() - start
+    m = state.metrics()
 
     fid = None
-    if circuit.num_qubits <= args.cap and psi is not None:
+    if circuit.num_qubits <= args.cap:
         ref = statevector.sv_simulate(circuit, qubit_cap=args.cap)
-        fid = statevector.fidelity(psi, ref)
+        fid = statevector.fidelity(state.to_statevector(args.cap), ref)
     return RunRecord(
         engine=args.engine,
         circuit=args.circuit,
@@ -128,12 +112,12 @@ def _simulate_run(args, circuit: Circuit) -> RunRecord:
         sigma_rel=args.sigma_rel,
         dmax=args.dmax,
         seed=args.seed,
-        order=order,
+        order=getattr(state, "order", None),  # only an MPS has a site order
         total_seconds=total,
         per_gate_seconds=per_gate,
-        d_max_observed=d_max,
-        m_entries=m_entries,
-        cap_events=cap_events,
+        d_max_observed=m.d_max_observed,
+        m_entries=m.m_entries,
+        cap_events=state.cap_events,
         fidelity=fid,
     )
 
@@ -170,8 +154,7 @@ def cmd_gen(args) -> int:
 
 def cmd_plan(args) -> int:
     circuit = load_circuit(args.circuit)
-    clusters = args.clusters or default_cluster_count(circuit.num_qubits)
-    topo = find_tree_structure(circuit, clusters)
+    topo = _plan_topology(args, circuit)
     save_topology(topo, args.out)
     print(f"wrote {args.out}: height {topo.height}, max arity {topo.max_arity}")
     return 0
@@ -240,19 +223,18 @@ def cmd_compare(args) -> int:
     if circuit.num_qubits > args.cap:
         raise ValueError(f"compare needs dense contraction; N > {args.cap}")
 
-    def run(engine, sigma_rel, dmax):
+    topo = functools.cache(lambda: _plan_topology(args, circuit))  # one plan for both sides
+    sides = []
+    for engine, sigma_rel, dmax in ((args.engine_a, args.sigma_rel_a, args.dmax_a),
+                                    (args.engine_b, args.sigma_rel_b, args.dmax_b)):
         policy = TruncationPolicy(sigma_rel=sigma_rel, d_max=dmax)
-        if engine == "ttn":
-            topo = _plan_topology(args, circuit)
-            state = ttn.run_circuit(circuit, topo, policy, memory_cap=args.memory_cap)
-        elif engine == "mps":
-            state = mps.run_circuit(circuit, policy, memory_cap=args.memory_cap)
-        else:
-            return statevector.sv_simulate(circuit, qubit_cap=args.cap), None
-        return state.to_statevector(args.cap), state.metrics()
-
-    psi_a, metrics_a = run(args.engine_a, args.sigma_rel_a, args.dmax_a)
-    psi_b, metrics_b = run(args.engine_b, args.sigma_rel_b, args.dmax_b)
+        state = _new_state(engine, args, circuit, topo, None)
+        for g in circuit.gates:
+            state.apply(g, policy)
+        # the dense reference has no network sizes to compare
+        metrics = None if isinstance(state, statevector.DenseState) else state.metrics()
+        sides.append((state.to_statevector(args.cap), metrics))
+    (psi_a, metrics_a), (psi_b, metrics_b) = sides
     doc = {
         "engine_a": args.engine_a,
         "engine_b": args.engine_b,
@@ -307,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, help="planner cluster count when planning")
     p.add_argument("--sigma-rel", type=float, default=0.0)
     p.add_argument("--dmax", type=int, help="truncation rank cap")
-    p.add_argument("--cap", type=int, default=20, help="dense-contraction qubit cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP, help="dense-contraction qubit cap")
     p.add_argument("--seed", type=int, default=0, help="recorded in the run record")
     p.add_argument("--order", help="mps qubit-to-site permutation, e.g. 2,0,1")
     p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP, help=MEMORY_CAP_HELP)
@@ -338,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-rel-b", type=float, default=0.0)
     p.add_argument("--dmax-a", type=int)
     p.add_argument("--dmax-b", type=int)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=int, default=DEFAULT_QUBIT_CAP)
     p.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP, help=MEMORY_CAP_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import as_tensor, merge_axes, svd_econ
+from .tensors import svd_econ
 
 # Relative cutoff separating the genuinely nonzero singular values of a split
 # gate from numerical noise; a unitary's zero Schmidt values land near 1e-16.
@@ -27,7 +27,7 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "matrix", as_tensor(self.matrix))
+        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.complex128))
         n = len(self.qubits)
         if n not in (1, 2):
             raise ValueError(f"gate must act on 1 or 2 qubits, got {n}")
@@ -122,11 +122,6 @@ def fsim(theta: float, phi: float, qa: int, qb: int) -> Gate:
     return Gate("fsim", (qa, qb), m)
 
 
-def unitary(matrix, qubits, label: str = "u") -> Gate:
-    """Wrap an explicit unitary matrix as a gate."""
-    return Gate(label, tuple(qubits), matrix)
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -139,7 +134,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _split_regroup(matrix: np.ndarray) -> np.ndarray:
     """Reshuffle a 4x4 gate into the ((out_a, in_a), (out_b, in_b)) matrix."""
-    return merge_axes(matrix.reshape(2, 2, 2, 2), (0, 2), (1, 3))
+    return matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def gate_rank(g: Gate) -> int:

@@ -13,9 +13,10 @@ them: (left bond, physical=2, right bond).
 from .circuits import Circuit
 # split_gate, svd_econ and qr_econ are unused here: bench/workloads.py:instrument patches them
 from .gates import split_gate  # noqa: F401
+from .statevector import DEFAULT_MEMORY_CAP, StateMetrics
 from .tensors import EXACT, TruncationPolicy, qr_econ, svd_econ  # noqa: F401
 from .topology import comb_bond_edges, comb_topology
-from .ttn import DEFAULT_MEMORY_CAP, TtnMetrics, TtnState
+from .ttn import TtnState
 
 
 class MpsState(TtnState):
@@ -33,17 +34,23 @@ class MpsState(TtnState):
             raise ValueError(f"order has {len(order)} sites for {num_qubits} qubits")
         return super().basis_state(comb_topology(order), bits, memory_cap=memory_cap)
 
+    @property
+    def order(self) -> list[int]:
+        """The qubit -> site map; the comb's leaves, in preorder, are the sites."""
+        qubit_at = [q for q in self.tree.leaf_qubit if q is not None]
+        return sorted(range(len(qubit_at)), key=qubit_at.__getitem__)
+
     def bond_dims(self) -> list[int]:
         """Dimensions of the num_qubits - 1 interior bonds, in site order."""
         return [self.edge_dim(edge) for edge in comb_bond_edges(self.tree)]
 
-    def metrics(self) -> TtnMetrics:
+    def metrics(self) -> StateMetrics:
         """Site-fused sizes: site j stores bond j-1 x 2 x bond j entries
         (boundary bonds 1), and edge (j, 0) is bond j."""
         bonds = self.bond_dims()
         outer = [1] + bonds + [1]
         m_entries = sum(2 * left * right for left, right in zip(outer, outer[1:]))
-        return TtnMetrics(max([2] + bonds), m_entries, {(j, 0): d for j, d in enumerate(bonds)})
+        return StateMetrics(max([2] + bonds), m_entries, {(j, 0): d for j, d in enumerate(bonds)})
 
 
 def run_circuit(circuit: Circuit, policy: TruncationPolicy = EXACT, bits=None, order=None,

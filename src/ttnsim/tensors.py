@@ -1,4 +1,4 @@
-"""Dense complex tensor kernels: axis merging, contraction, economical SVD/QR.
+"""Dense complex matrix kernels: economical SVD/QR and truncation policies.
 
 All tensors are numpy ``complex128`` arrays in row-major (C) layout; the last
 axis is the fastest. Operations are pure functions and never mutate inputs.
@@ -9,50 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError
-
-
-def as_tensor(data, shape=None) -> np.ndarray:
-    """Coerce to a contiguous complex128 array, optionally reshaped."""
-    t = np.ascontiguousarray(data, dtype=np.complex128)
-    if shape is not None:
-        t = t.reshape(shape)
-    return t
-
-
-def merge_axes(t: np.ndarray, rows, cols) -> np.ndarray:
-    """Regroup the axes of `t` into a matrix (pure re-indexing, no arithmetic).
-
-    `rows` and `cols` are ordered axis groups that together must form a
-    permutation of all axes. Row index runs over the `rows` axes (first axis
-    slowest), column index over the `cols` axes.
-    """
-    rows = list(rows)
-    cols = list(cols)
-    perm = rows + cols
-    if sorted(perm) != list(range(t.ndim)):
-        raise ValueError(f"axis groups {rows}/{cols} do not partition {t.ndim} axes")
-    p = int(np.prod([t.shape[a] for a in rows], initial=1))
-    q = int(np.prod([t.shape[a] for a in cols], initial=1))
-    return np.ascontiguousarray(t.transpose(perm).reshape(p, q))
-
-
-def contract(a: np.ndarray, axes_a, b: np.ndarray, axes_b) -> np.ndarray:
-    """Contract paired axes of `a` and `b`.
-
-    Output axes are the remaining axes of `a` followed by the remaining axes
-    of `b` (the `numpy.tensordot` convention).
-    """
-    axes_a = [axes_a] if np.isscalar(axes_a) else list(axes_a)
-    axes_b = [axes_b] if np.isscalar(axes_b) else list(axes_b)
-    if len(axes_a) != len(axes_b):
-        raise ValueError("axis lists must pair up one-to-one")
-    for ax_a, ax_b in zip(axes_a, axes_b):
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise ValueError(
-                f"dimension mismatch on paired axes {ax_a}/{ax_b}: "
-                f"{a.shape[ax_a]} != {b.shape[ax_b]}"
-            )
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
 
 
 @dataclass
@@ -78,13 +34,12 @@ class SvdFactors:
 ZERO_FLOOR = 1e-14
 
 
-def svd_econ(m: np.ndarray, threshold: float = 0.0, max_rank: int | None = None) -> SvdFactors:
+def svd_econ(m: np.ndarray, threshold: float = 0.0) -> SvdFactors:
     """Economical SVD with relative-threshold truncation.
 
     Singular values below ``threshold * s[0]`` are discarded (numerically
-    zero ones always are); the rank is additionally capped at `max_rank`. At
-    least one singular value is always retained: an empty bond would
-    disconnect the network.
+    zero ones always are). At least one singular value is always retained:
+    an empty bond would disconnect the network.
     """
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
@@ -96,8 +51,6 @@ def svd_econ(m: np.ndarray, threshold: float = 0.0, max_rank: int | None = None)
         raise FactorizationError(f"SVD of a {m.shape} matrix did not converge") from exc
     k = int(np.count_nonzero(s >= max(threshold, ZERO_FLOOR) * s[0])) if s[0] > 0 else 0
     k = max(k, 1)
-    if max_rank is not None:
-        k = min(k, int(max_rank))
     return SvdFactors(u[:, :k], s[:k], v_dag[:k, :])
 
 

@@ -22,32 +22,15 @@ the two gate branches share is factorized once.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit
 from .errors import FactorizationError, MemoryCapExceeded
 from .gates import Gate, split_gate
+from .statevector import DEFAULT_MEMORY_CAP, DEFAULT_QUBIT_CAP, StateMetrics
 from .tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
 from .topology import FlatTree, TreeTopology
-
-DEFAULT_MEMORY_CAP = 2**31  # total complex entries across the state
-STATEVECTOR_QUBIT_CAP = 20
-
-
-@dataclass
-class TtnMetrics:
-    """Size measures of a tensor-network state.
-
-    `d_max_observed` is the largest axis dimension over all tensors,
-    `m_entries` the total stored entries, and `edge_dims` maps
-    (parent node id, child index) to the connecting dimension.
-    """
-
-    d_max_observed: int
-    m_entries: int
-    edge_dims: dict
 
 
 def _truncate_factors(fac, policy: TruncationPolicy, state) -> None:
@@ -326,7 +309,7 @@ class TtnState:
 
     # -- read-out -----------------------------------------------------------
 
-    def to_statevector(self, qubit_cap: int = STATEVECTOR_QUBIT_CAP) -> np.ndarray:
+    def to_statevector(self, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
         """Contract the network into a dense vector, qubit 0 most significant."""
         n = self.tree.num_qubits
         if n > qubit_cap:
@@ -360,14 +343,14 @@ class TtnState:
         """Dimension of the edge between `child_id` and its parent."""
         return self.tensors[child_id].shape[-1]
 
-    def metrics(self) -> TtnMetrics:
+    def metrics(self) -> StateMetrics:
         d_max = max(max(t.shape) for t in self.tensors)
         m_entries = sum(t.size for t in self.tensors)
         edges = {}
         for nid in range(self.tree.num_nodes):
             for ci, child in enumerate(self.tree.children[nid]):
                 edges[(nid, ci)] = self.edge_dim(child)
-        return TtnMetrics(int(d_max), int(m_entries), edges)
+        return StateMetrics(int(d_max), int(m_entries), edges)
 
 
 def run_circuit(circuit: Circuit, topology: TreeTopology, policy: TruncationPolicy = EXACT,

@@ -5,8 +5,10 @@ import shutil
 import numpy as np
 import pytest
 
+from ttnsim import cli
 from ttnsim.circuits import dumps_circuit, load_circuit
 from ttnsim.cli import main
+from ttnsim.treesearch import find_tree_structure
 
 
 def run(args):
@@ -20,6 +22,13 @@ def treelike_files(tmp_path):
     assert run(["gen", "treelike", "--clusters", 3, "--reps", 2, "--out", circ]) == 0
     assert run(["plan", "--circuit", circ, "--clusters", 3, "--out", topo]) == 0
     return circ, topo
+
+
+@pytest.fixture
+def lattice4(tmp_path):
+    circ = tmp_path / "c.json"
+    run(["gen", "lattice", "--n", 2, "--depth", 4, "--seed", 1, "--out", circ])  # 4 qubits
+    return circ
 
 
 class TestGen:
@@ -57,6 +66,14 @@ class TestPlan:
         assert run(["plan", "--circuit", tmp_path / "nope.json",
                     "--out", tmp_path / "t.json"]) == 2
 
+    @pytest.mark.parametrize("command, out_flag", [("plan", "--out"),
+                                                   ("simulate", "--metrics-out")])
+    def test_zero_clusters_exit_2(self, tmp_path, treelike_files, command, out_flag):
+        circ, _ = treelike_files
+        out = tmp_path / "out.json"
+        assert run([command, "--circuit", circ, "--clusters", 0, out_flag, out]) == 2
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_ttn_with_topology(self, tmp_path, treelike_files, capsys):
@@ -91,6 +108,14 @@ class TestSimulate:
         assert run(["simulate", "--circuit", circ, "--engine", "mps",
                     "--order", order, "--metrics-out", rec_path]) == 0
         assert json.loads(rec_path.read_text())["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("engine, recorded", [("ttn", None), ("statevector", None),
+                                                  ("mps", [1, 0, 2, 3])])
+    def test_record_order_is_the_engines(self, tmp_path, lattice4, engine, recorded):
+        rec_path = tmp_path / "rec.json"
+        assert run(["simulate", "--circuit", lattice4, "--engine", engine, "--order", "1,0,2,3",
+                    "--metrics-out", rec_path]) == 0
+        assert json.loads(rec_path.read_text())["order"] == recorded
 
     def test_truncated_run_reports_policy(self, tmp_path, treelike_files):
         circ, topo = treelike_files
@@ -218,3 +243,34 @@ class TestCompare:
         assert run(["compare", "--circuit", circ, "--engine-a", "ttn",
                     "--engine-b", "mps", "--topology", topo, "--out", out]) == 0
         assert json.loads(out.read_text())["overlap_error"] <= 1e-9
+
+
+class TestEveryEngineEnforcesCaps:
+    @staticmethod
+    def engine_flags(command, engine):
+        if command == "simulate":
+            return ["--engine", engine]
+        return ["--engine-a", engine, "--engine-b", engine]
+
+    @pytest.mark.parametrize("engine", ["ttn", "mps", "statevector"])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_memory_cap_exit_4(self, lattice4, command, engine):
+        assert run([command, "--circuit", lattice4, "--memory-cap", 4]
+                   + self.engine_flags(command, engine)) == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_statevector_qubit_cap_exit_2(self, lattice4, command):
+        assert run([command, "--circuit", lattice4, "--cap", 3]
+                   + self.engine_flags(command, "statevector")) == 2
+
+    def test_compare_plans_once(self, lattice4, monkeypatch):
+        calls = []
+
+        def counting(circuit, clusters):
+            calls.append(clusters)
+            return find_tree_structure(circuit, clusters)
+
+        monkeypatch.setattr(cli, "find_tree_structure", counting)
+        assert run(["compare", "--circuit", lattice4, "--clusters", 2]
+                   + self.engine_flags("compare", "ttn")) == 0
+        assert calls == [2]

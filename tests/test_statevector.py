@@ -4,7 +4,8 @@ import pytest
 from ttnsim import gates
 from ttnsim.circuits import Circuit
 from ttnsim.gates import Gate, haar_unitary
-from ttnsim.statevector import (apply_gate, basis_vector, fidelity, overlap_error,
+from ttnsim.errors import MemoryCapExceeded
+from ttnsim.statevector import (DenseState, apply_gate, basis_vector, fidelity, overlap_error,
                                 sv_simulate)
 
 
@@ -80,6 +81,23 @@ class TestSvSimulate:
     def test_qubit_cap(self):
         with pytest.raises(ValueError, match="cap"):
             sv_simulate(Circuit(21))
+
+
+class TestDenseState:
+    def test_engine_interface(self):
+        state = DenseState([0, 0, 0])
+        for g in (gates.h(0), gates.cnot(0, 2)):
+            state.apply(g)
+        m = state.metrics()
+        assert (m.d_max_observed, m.m_entries, m.edge_dims, state.cap_events) == (2, 8, {}, 0)
+        assert np.allclose(state.to_statevector(),
+                           sv_simulate(Circuit(3, [gates.h(0), gates.cnot(0, 2)])))
+
+    @pytest.mark.parametrize("caps, error", [({}, ValueError),
+                                             ({"qubit_cap": 40}, MemoryCapExceeded)])
+    def test_caps_checked_before_allocation(self, caps, error):
+        with pytest.raises(error):
+            DenseState([0] * 40, **caps)  # 2**40 amplitudes would not fit
 
 
 class TestOverlapError:
