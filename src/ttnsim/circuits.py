@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
+from .errors import doc_field, doc_int
 from .gates import Gate
 
 
@@ -67,17 +68,25 @@ def dumps_circuit(c: Circuit) -> str:
     return f'{{"num_qubits":{c.num_qubits},\n "gates":{gate_block}\n}}\n'
 
 
+def _complex(pair) -> complex:
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+        raise ValueError(f"matrix entries must be [re, im] number pairs, got {pair!r:.60}")
+    return complex(*pair)
+
+
 def loads_circuit(text: str) -> Circuit:
     doc = json.loads(text)
-    n = int(doc["num_qubits"])
+    n = doc_int(doc_field(doc, "num_qubits"), "num_qubits")
     out = []
-    for entry in doc["gates"]:
-        pairs = entry["matrix"]
+    for entry in doc_field(doc, "gates", list):
+        pairs = doc_field(entry, "matrix", list)
         dim = 2 if len(pairs) == 4 else 4
         if len(pairs) != dim * dim:
             raise ValueError(f"matrix must have 4 or 16 entries, got {len(pairs)}")
-        mat = np.array([complex(re, im) for re, im in pairs]).reshape(dim, dim)
-        out.append(Gate(entry["label"], tuple(entry["qubits"]), mat))
+        mat = np.array([_complex(p) for p in pairs]).reshape(dim, dim)
+        qubits = tuple(doc_int(q, "a qubit") for q in doc_field(entry, "qubits", list))
+        out.append(Gate(doc_field(entry, "label", str), qubits, mat))
     return Circuit(n, out)
 
 

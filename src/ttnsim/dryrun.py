@@ -6,7 +6,7 @@ rank k, after which a worklist, seeded with the path edges, applies
 
     dim(e) <- min(dim(e), product of dims below e, product of dims above e)
 
-(`FlatTree.edge_bound`) until no edge shrinks. The reduction is the symbolic
+(`TreeTopology.edge_bound`) until no edge shrinks. The reduction is the symbolic
 shadow of economical-SVD sweeps, which can only shrink an edge to the smaller
 of its two matricization sides, so dry-run dimensions upper-bound what the
 engines observe. An MPS site order is walked as its comb (`comb_topology`), an
@@ -22,7 +22,7 @@ import numpy as np
 from . import gates as gatelib
 from .circuits import Circuit
 from .gates import gate_rank
-from .topology import FlatTree, TreeTopology, comb_bond_edges, comb_topology, perfect_tree
+from .topology import TreeTopology, comb_bond_edges, comb_entries, comb_topology, perfect_tree
 from .treesearch import l_cluster
 
 
@@ -51,7 +51,7 @@ class DryRunReport:
     cap_events: int = 0
 
 
-def _reduce_tree(dims: dict, tree: FlatTree, seeds):
+def _reduce_tree(dims: dict, tree: TreeTopology, seeds):
     """Two-sided min rule to fixpoint over a tree ledger (keyed by child id).
 
     A worklist seeded with the edges whose dims just grew. An edge that shrinks
@@ -74,7 +74,7 @@ def _reduce_tree(dims: dict, tree: FlatTree, seeds):
                     work.append(e)
 
 
-def _tree_entries(dims: dict, tree: FlatTree) -> int:
+def _tree_entries(dims: dict, tree: TreeTopology) -> int:
     total = 0
     for nid in range(tree.num_nodes):
         if tree.is_leaf(nid):
@@ -86,8 +86,7 @@ def _tree_entries(dims: dict, tree: FlatTree) -> int:
     return total
 
 
-def _dryrun_tree(circuit: Circuit, topology: TreeTopology, cap) -> DryRunReport:
-    tree = topology if isinstance(topology, FlatTree) else FlatTree(topology)
+def _dryrun_tree(circuit: Circuit, tree: TreeTopology, cap) -> DryRunReport:
     if tree.num_qubits != circuit.num_qubits:
         raise ValueError("topology leaves must cover the circuit qubits")
     dims = {nid: 1 for nid in range(tree.num_nodes) if tree.parent[nid] is not None}
@@ -121,7 +120,7 @@ def _dryrun_mps(circuit: Circuit, order, cap) -> DryRunReport:
     The comb's other edges are leaf edges, which never exceed 2. Entries are
     counted per site, with the physical leg fused in.
     """
-    tree = FlatTree(comb_topology(order))
+    tree = comb_topology(order)
     rep = _dryrun_tree(circuit, tree, cap)
     bond_edges = comb_bond_edges(tree)
     bond_of = {e: j for j, e in enumerate(bond_edges)}
@@ -130,23 +129,21 @@ def _dryrun_mps(circuit: Circuit, order, cap) -> DryRunReport:
     for ev in rep.events:
         crossed = [bond_of[e] for e in ev.edges if e in bond_of]
         events.append(GateEvent(ev.gate_index, ev.label, ev.k, len(crossed), crossed))
-    padded = [1] + bonds + [1]
-    m_entries = sum(left * 2 * right for left, right in zip(padded, padded[1:]))
     return DryRunReport("mps", dict(enumerate(bonds)), {j: 1 for j in range(len(bonds))},
-                        rep.d_max_observed, m_entries, events, cap, rep.cap_events)
+                        rep.d_max_observed, comb_entries(bonds), events, cap, rep.cap_events)
 
 
 def dryrun(circuit: Circuit, layout, cap: int | None = None) -> DryRunReport:
     """Symbolically simulate bond growth for a tree topology or a site order.
 
-    `layout` is a TreeTopology (or FlatTree) for the tree engine, or a
-    qubit-to-site permutation for the MPS baseline, walked as a comb. With
-    `cap` (at least 1) set, edges are clamped at the cap and each clamp is
-    recorded as a would-truncate event.
+    `layout` is a TreeTopology for the tree engine, or a qubit-to-site
+    permutation for the MPS baseline, walked as a comb. With `cap` (at least
+    1) set, edges are clamped at the cap and each clamp is recorded as a
+    would-truncate event.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    if isinstance(layout, (TreeTopology, FlatTree)):
+    if isinstance(layout, TreeTopology):
         return _dryrun_tree(circuit, layout, cap)
     return _dryrun_mps(circuit, layout, cap)
 
@@ -167,7 +164,8 @@ def node_crossing_limit(arity: int, d_max: int) -> float:
 
 @dataclass
 class AdmissibilityReport:
-    """Worst-case edge products versus the d_max budget.
+    """Worst-case edge products versus the d_max budget, plus the
+    closed-form per-edge and per-node crossing limits for that budget.
 
     Only edges whose lower endpoint sits at or above the cluster level are
     restricted; gate sequences inside a cluster-height subtree stay exact
@@ -179,38 +177,25 @@ class AdmissibilityReport:
     arity: int
     cluster_level: int
     edge_products: dict
-    edge_crossings: dict
-    node_crossings: dict
     violations: list
     edge_limit: float
     node_limit: float
 
 
-def admissible(circuit: Circuit, topology: TreeTopology, d_max: int) -> AdmissibilityReport:
+def admissible(circuit: Circuit, tree: TreeTopology, d_max: int) -> AdmissibilityReport:
     """Check the crossing-product condition prod(k_G) <= d_max on every
-    restricted edge, and report crossing counts against the closed-form
-    per-edge and per-node limits."""
-    tree = topology if isinstance(topology, FlatTree) else FlatTree(topology)
-    arity = max(tree.topology.max_arity, 2)
+    restricted edge."""
+    arity = max(tree.max_arity, 2)
     lc = l_cluster(arity, d_max)
-    restricted = [nid for nid in range(tree.num_nodes)
-                  if tree.parent[nid] is not None and tree.height[nid] >= lc]
-    products = {e: 1 for e in restricted}
-    crossings = {e: 0 for e in restricted}
-    node_counts = {nid: 0 for nid in range(tree.num_nodes)
-                   if not tree.is_leaf(nid) and tree.height[nid] > lc}
+    products = {nid: 1 for nid in range(tree.num_nodes)
+                if tree.parent[nid] is not None and tree.node_height[nid] >= lc}
     for g in circuit.gates:
         if g.num_qubits != 2:
             continue
         k = gate_rank(g)
-        up_a, lca, up_b = tree.path_between(*g.qubits)
-        for e in up_a + up_b:
+        for e in tree.path_edges(*g.qubits):
             if e in products:
                 products[e] *= k
-                crossings[e] += 1
-        for nid in up_a[1:] + up_b[1:] + [lca]:
-            if nid in node_counts:
-                node_counts[nid] += 1
     violations = sorted(e for e, p in products.items() if p > d_max)
     return AdmissibilityReport(
         admissible=not violations,
@@ -218,8 +203,6 @@ def admissible(circuit: Circuit, topology: TreeTopology, d_max: int) -> Admissib
         arity=arity,
         cluster_level=lc,
         edge_products=products,
-        edge_crossings=crossings,
-        node_crossings=node_counts,
         violations=violations,
         edge_limit=edge_crossing_limit(d_max),
         node_limit=node_crossing_limit(arity, d_max),

@@ -15,7 +15,7 @@ from .circuits import Circuit
 from .gates import split_gate  # noqa: F401
 from .statevector import DEFAULT_MEMORY_CAP, StateMetrics
 from .tensors import EXACT, TruncationPolicy, qr_econ, svd_econ  # noqa: F401
-from .topology import comb_bond_edges, comb_topology
+from .topology import comb_bond_edges, comb_entries, comb_topology
 from .ttn import TtnState
 
 
@@ -45,12 +45,10 @@ class MpsState(TtnState):
         return [self.edge_dim(edge) for edge in comb_bond_edges(self.tree)]
 
     def metrics(self) -> StateMetrics:
-        """Site-fused sizes: site j stores bond j-1 x 2 x bond j entries
-        (boundary bonds 1), and edge (j, 0) is bond j."""
+        """Site-fused sizes (`comb_entries`): site j stores bond j-1 x 2 x
+        bond j entries."""
         bonds = self.bond_dims()
-        outer = [1] + bonds + [1]
-        m_entries = sum(2 * left * right for left, right in zip(outer, outer[1:]))
-        return StateMetrics(max([2] + bonds), m_entries, {(j, 0): d for j, d in enumerate(bonds)})
+        return StateMetrics(max([2] + bonds), comb_entries(bonds))
 
 
 def run_circuit(circuit: Circuit, policy: TruncationPolicy = EXACT, bits=None, order=None,

@@ -22,13 +22,12 @@ class StateMetrics:
     """Size measures of an engine's state.
 
     `d_max_observed` is the largest axis dimension over all tensors,
-    `m_entries` the total stored entries, and `edge_dims` maps (parent node
-    id, child index) to the connecting dimension; a dense state has none.
+    and `m_entries` the total stored entries. Per-edge dimensions are read
+    from a tree state by child node id, with `TtnState.edge_dim`.
     """
 
     d_max_observed: int
     m_entries: int
-    edge_dims: dict
 
 
 def basis_vector(bits) -> np.ndarray:
@@ -78,7 +77,7 @@ class DenseState:
         return self
 
     def metrics(self) -> StateMetrics:
-        return StateMetrics(2, self.vec.size, {})
+        return StateMetrics(2, self.vec.size)
 
     def to_statevector(self, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
         """The amplitudes; `qubit_cap` guards a contraction, and there is none."""

@@ -30,7 +30,7 @@ from .errors import FactorizationError, MemoryCapExceeded
 from .gates import Gate, split_gate
 from .statevector import DEFAULT_MEMORY_CAP, DEFAULT_QUBIT_CAP, StateMetrics
 from .tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
-from .topology import FlatTree, TreeTopology
+from .topology import TreeTopology
 
 
 def _truncate_factors(fac, policy: TruncationPolicy, state) -> None:
@@ -79,7 +79,7 @@ def _expand_pair(t: np.ndarray, ax1: int, ax2: int, k: int, scale: float = 1.0) 
 class TtnState:
     """Mutable TTN statevector over a fixed tree topology."""
 
-    def __init__(self, tree: FlatTree, tensors: list[np.ndarray],
+    def __init__(self, tree: TreeTopology, tensors: list[np.ndarray],
                  memory_cap: int = DEFAULT_MEMORY_CAP):
         self.tree = tree
         self.tensors = tensors
@@ -89,10 +89,9 @@ class TtnState:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def basis_state(cls, topology: TreeTopology, bits,
+    def basis_state(cls, tree: TreeTopology, bits,
                     memory_cap: int = DEFAULT_MEMORY_CAP) -> "TtnState":
         """Product basis state: all internal edges have dimension 1."""
-        tree = topology if isinstance(topology, FlatTree) else FlatTree(topology)
         bits = list(bits)
         if len(bits) != tree.num_qubits:
             raise ValueError(f"expected {tree.num_qubits} bits, got {len(bits)}")
@@ -346,11 +345,7 @@ class TtnState:
     def metrics(self) -> StateMetrics:
         d_max = max(max(t.shape) for t in self.tensors)
         m_entries = sum(t.size for t in self.tensors)
-        edges = {}
-        for nid in range(self.tree.num_nodes):
-            for ci, child in enumerate(self.tree.children[nid]):
-                edges[(nid, ci)] = self.edge_dim(child)
-        return StateMetrics(int(d_max), int(m_entries), edges)
+        return StateMetrics(int(d_max), int(m_entries))
 
 
 def run_circuit(circuit: Circuit, topology: TreeTopology, policy: TruncationPolicy = EXACT,

@@ -211,9 +211,8 @@ class TestDryrunCmd:
 
 
 def rep_count_edges(topo_path):
-    from ttnsim.topology import FlatTree, load_topology
-    tree = FlatTree(load_topology(topo_path))
-    return tree.num_nodes - 1
+    from ttnsim.topology import load_topology
+    return load_topology(topo_path).num_nodes - 1
 
 
 class TestCompare:
@@ -243,6 +242,43 @@ class TestCompare:
         assert run(["compare", "--circuit", circ, "--engine-a", "ttn",
                     "--engine-b", "mps", "--topology", topo, "--out", out]) == 0
         assert json.loads(out.read_text())["overlap_error"] <= 1e-9
+
+
+class TestMalformedInputsExit2:
+    """A file of the wrong shape is a usage error (exit 2), never a
+    traceback, and a non-integer qubit is not rounded to one."""
+
+    @pytest.mark.parametrize("command", ["simulate", "plan", "dryrun"])
+    @pytest.mark.parametrize("case", ["matrix_of_numbers", "array_document", "float_qubit",
+                                      "bool_qubit", "float_num_qubits"])
+    def test_circuit(self, tmp_path, lattice4, command, case):
+        doc = json.loads(lattice4.read_text())
+        gate = doc["gates"][0]  # a two-qubit gate on qubits 0 and 1
+        if case == "matrix_of_numbers":
+            gate["matrix"] = [re for re, _ in gate["matrix"]]
+        elif case == "array_document":
+            doc = [1, 2]
+        elif case == "float_qubit":
+            gate["qubits"][0] = 0.9
+        elif case == "bool_qubit":
+            gate["qubits"][1] = True
+        else:
+            doc["num_qubits"] = 4.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = ["--out", tmp_path / "t.json"] if command == "plan" else []
+        assert run([command, "--circuit", bad, *out]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "dryrun"])
+    @pytest.mark.parametrize("text", ['{"children": 5}', '{"leaf": [0]}', "[0, 1]",
+                                      '{"children": [{"leaf": 0}, {"leaf": 1.0}, '
+                                      '{"leaf": 2}, {"leaf": 3}]}'],
+                             ids=["children_not_list", "leaf_not_int", "array_document",
+                                  "float_leaf"])
+    def test_topology(self, tmp_path, lattice4, command, text):
+        bad = tmp_path / "bad_topo.json"
+        bad.write_text(text)
+        assert run([command, "--circuit", lattice4, "--topology", bad]) == 2
 
 
 class TestEveryEngineEnforcesCaps:

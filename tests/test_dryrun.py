@@ -10,7 +10,7 @@ from ttnsim.dryrun import (admissible, dryrun, edge_crossing_limit, gen_triangle
                            node_crossing_limit, random_qubit_orders)
 from ttnsim.gates import Gate, gate_rank, haar_unitary
 from ttnsim.mps import run_circuit as mps_run_circuit
-from ttnsim.topology import (FlatTree, Internal, Leaf, TreeTopology, comb_bond_edges,
+from ttnsim.topology import (Internal, Leaf, TreeTopology, comb_bond_edges,
                              comb_topology, node, perfect_tree)
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import run_circuit as ttn_run_circuit
@@ -151,21 +151,19 @@ class TestCombTopology:
         order = [2, 0, 3, 1]  # qubit -> site
         topo = comb_topology(order)
         assert topo == TreeTopology(node([Leaf(1), node([Leaf(3), node([Leaf(0), Leaf(2)])])]))
-        tree = FlatTree(topo)
-        bond_edges = comb_bond_edges(tree)
+        bond_edges = comb_bond_edges(topo)
         assert bond_edges == [2, 4, 6]
         for j, e in enumerate(bond_edges):  # bond j: sites 0..j above the edge, j+1..3 below
-            below = {tree.leaf_qubit[n] for n in range(tree.num_nodes)
-                     if e in tree.ancestors(n) and tree.is_leaf(n)}
+            below = {topo.leaf_qubit[n] for n in range(topo.num_nodes)
+                     if e in topo.ancestors(n) and topo.is_leaf(n)}
             assert sorted(order[q] for q in below) == list(range(j + 1, 4))
 
     def test_deep_comb_builds_without_recursion(self):
         n = 3000  # deeper than the interpreter's default recursion limit
         topo = comb_topology(range(n))
         assert (topo.height, topo.max_arity) == (n - 1, 2)
-        tree = FlatTree(topo)
-        assert tree.postorder[-1] == 0 and tree.height[0] == n - 1
-        assert len(comb_bond_edges(tree)) == n - 1
+        assert topo.postorder[-1] == 0 and topo.node_height[0] == n - 1
+        assert len(comb_bond_edges(topo)) == n - 1
 
     def test_deep_combs_compare_without_recursion(self):
         n = 3000

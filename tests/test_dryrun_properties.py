@@ -12,7 +12,7 @@ from ttnsim.circuits import Circuit
 from ttnsim.dryrun import dryrun
 from ttnsim.gates import Gate, gate_rank, haar_unitary
 from ttnsim.mps import run_circuit as mps_run_circuit
-from ttnsim.topology import FlatTree, Internal, Leaf, TreeTopology, comb_topology, perfect_tree
+from ttnsim.topology import Internal, Leaf, TreeTopology, comb_topology, perfect_tree
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import run_circuit as ttn_run_circuit
 
@@ -122,7 +122,7 @@ class TestDryRunProperties:
     def test_worklist_matches_whole_tree_fixpoint(self, case, cap):
         circuit, topo = case
         rep = dryrun(circuit, topo, cap=cap)
-        dims, clamps = reference_tree_dims(circuit, FlatTree(topo), cap)
+        dims, clamps = reference_tree_dims(circuit, topo, cap)
         assert (rep.edge_dims, rep.cap_events) == (dims, clamps)
 
     @settings(PROPERTY, max_examples=80)

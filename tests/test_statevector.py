@@ -89,7 +89,7 @@ class TestDenseState:
         for g in (gates.h(0), gates.cnot(0, 2)):
             state.apply(g)
         m = state.metrics()
-        assert (m.d_max_observed, m.m_entries, m.edge_dims, state.cap_events) == (2, 8, {}, 0)
+        assert (m.d_max_observed, m.m_entries, state.cap_events) == (2, 8, 0)
         assert np.allclose(state.to_statevector(),
                            sv_simulate(Circuit(3, [gates.h(0), gates.cnot(0, 2)])))
 

@@ -6,7 +6,7 @@ import pytest
 from ttnsim import gates
 from ttnsim.circuits import Circuit, gen_treelike
 from ttnsim.gates import Gate, haar_unitary
-from ttnsim.topology import (FlatTree, Internal, Leaf, TreeTopology, dumps_topology,
+from ttnsim.topology import (Internal, Leaf, TreeTopology, dumps_topology,
                              load_topology, loads_topology, perfect_tree, save_topology)
 from ttnsim.treesearch import (cluster, create_subtree, find_tree_structure, l_cluster,
                                similarity_matrix)
@@ -160,10 +160,9 @@ class TestFindTreeStructure:
             clusters = int(rng.integers(1, n + 1))
             topo = find_tree_structure(c, clusters)
             assert topo.num_qubits == n  # leaf bijection checked by the ctor
-            tree = FlatTree(topo)
-            for nid in range(tree.num_nodes):
-                if not tree.is_leaf(nid):
-                    assert len(tree.children[nid]) >= 2
+            for nid in range(topo.num_nodes):
+                if not topo.is_leaf(nid):
+                    assert len(topo.children[nid]) >= 2
 
 
 class TestLCluster:

@@ -10,7 +10,7 @@ from ttnsim.errors import MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary
 from ttnsim.statevector import fidelity, overlap_error, sv_simulate
 from ttnsim.tensors import EXACT, TruncationPolicy
-from ttnsim.topology import (FlatTree, Internal, Leaf, TreeTopology, comb_topology,
+from ttnsim.topology import (Internal, Leaf, TreeTopology, comb_topology,
                              perfect_tree)
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import (TtnState, entries_upper_bound, flops_bound, node_count_bound,
@@ -33,6 +33,10 @@ def random_circuit(rng, n, n_gates, p_single=0.3):
 
 
 class TestBasisState:
+    def test_state_runs_on_the_given_topology(self):
+        topo = perfect_tree(2, 2)
+        assert TtnState.basis_state(topo, [0] * 4).tree is topo
+
     def test_all_zeros_gives_e0(self):
         for topo in (two_leaf(), perfect_tree(2, 2), perfect_tree(3, 2)):
             state = TtnState.basis_state(topo, [0] * topo.num_qubits)
@@ -96,7 +100,7 @@ class TestTwoQubit:
         state.apply_two_qubit(gates.cnot(0, 1))
         root2 = 1 / np.sqrt(2)
         assert np.allclose(state.to_statevector(), [root2, 0, 0, root2], atol=1e-12)
-        assert state.metrics().edge_dims[(0, 0)] == 2  # Schmidt rank of the Bell pair
+        assert state.edge_dim(1) == 2  # Schmidt rank of the Bell pair
 
     def test_same_qubit_rejected(self):
         state = TtnState.basis_state(two_leaf(), [0, 0])
@@ -169,7 +173,7 @@ class TestOrthonormalize:
         state.apply_two_qubit(gates.cnot(0, 7))
         tree = state.tree
         for nid in range(1, tree.num_nodes):
-            leaves_below = 2 ** tree.height[nid] if not tree.is_leaf(nid) else 1
+            leaves_below = 2 ** tree.node_height[nid] if not tree.is_leaf(nid) else 1
             assert state.edge_dim(nid) <= 2 ** max(leaves_below, 1)
 
     def test_threshold_below_schmidt_floor_is_noop(self):
@@ -234,12 +238,6 @@ class TestMetrics:
         before = state.metrics().m_entries
         state.orthonormalize(EXACT)
         assert state.metrics().m_entries <= before
-
-    def test_edge_map_keys(self):
-        state = TtnState.basis_state(perfect_tree(2, 2), [0] * 4)
-        m = state.metrics()
-        # preorder ids: 0 root, 1 left internal (leaves 2, 3), 4 right internal
-        assert set(m.edge_dims) == {(0, 0), (0, 1), (1, 0), (1, 1), (4, 0), (4, 1)}
 
 
 class TestEq2Conformance:
