@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .errors import doc_field, doc_int
+from .errors import doc_field, doc_int, doc_loads
 from .gates import Gate
 
 
@@ -33,11 +33,6 @@ class Circuit:
 
     def two_qubit_gates(self) -> list[Gate]:
         return [g for g in self.gates if g.num_qubits == 2]
-
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return self.num_qubits == other.num_qubits and self.gates == other.gates
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +71,7 @@ def _complex(pair) -> complex:
 
 
 def loads_circuit(text: str) -> Circuit:
-    doc = json.loads(text)
+    doc = doc_loads(text)
     n = doc_int(doc_field(doc, "num_qubits"), "num_qubits")
     out = []
     for entry in doc_field(doc, "gates", list):

@@ -102,8 +102,11 @@ def _simulate_run(args, circuit: Circuit) -> RunRecord:
 
     fid = None
     if circuit.num_qubits <= args.cap:
-        ref = statevector.sv_simulate(circuit, qubit_cap=args.cap)
-        fid = statevector.fidelity(state.to_statevector(args.cap), ref)
+        psi = state.to_statevector(args.cap)
+        # the dense engine's amplitudes are the reference bit for bit
+        ref = psi if isinstance(state, statevector.DenseState) else \
+            statevector.sv_simulate(circuit, qubit_cap=args.cap)
+        fid = statevector.fidelity(psi, ref)
     return RunRecord(
         engine=args.engine,
         circuit=args.circuit,

@@ -1,5 +1,7 @@
 """Failure modes that callers are expected to handle explicitly."""
 
+import json
+
 
 class FactorizationError(RuntimeError):
     """A matrix factorization (SVD/QR) did not converge.
@@ -14,6 +16,15 @@ class MemoryCapExceeded(RuntimeError):
 
 # Document checks the circuit and topology loaders share: a file of the wrong
 # shape is a ValueError, which the CLI maps to exit 2, never a TypeError.
+
+
+def doc_loads(text: str):
+    """`json.loads(text)`; nesting past the interpreter's recursion limit
+    (about 1000 containers) is a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the document is nested too deeply to read") from None
 
 
 def doc_field(obj, key: str, kind=object):

@@ -1,13 +1,13 @@
 """Matrix-product-state baseline: the tree engine on a comb.
 
 An MPS in a qubit-to-site order is a `TtnState` on `comb_topology(order)`,
-the tree node(site 0, node(site 1, ... node(site n-2, site n-1))). Bond j
-is the edge above the spine node that holds sites j+1..n-1, and the root
-(site 0's spine node) carries the norm, as in a right-canonical MPS. A
-long-range two-qubit gate threads its bond along the spine, multiplying
-every bond between its sites by k, which is exactly the cost model the tree
-engine is compared against. Sizes are reported per site as an MPS stores
-them: (left bond, physical=2, right bond).
+the tree [site 0, [site 1, ... [site n-2, site n-1]]]. Bond j is the edge
+above the spine node that holds sites j+1..n-1, and the root (site 0's spine
+node) carries the norm, as in a right-canonical MPS. A long-range two-qubit
+gate threads its bond along the spine, multiplying every bond between its
+sites by k, which is exactly the cost model the tree engine is compared
+against. Sizes are reported per site as an MPS stores them: (left bond,
+physical=2, right bond).
 """
 
 from .circuits import Circuit

@@ -1,60 +1,45 @@
 """Rooted tree topologies whose leaves carry qubits.
 
-`TreeTopology` is both the nested description the planner emits and the file
-format stores, and its index: parents, children, paths, and the min-rule
-bound of an edge (`TreeTopology.edge_bound`), built in one walk when the tree
-is made. The TTN engine and the dry-run walker work on it directly.
-`comb_topology` is the MPS site order written as a tree, so the MPS engine
-and its dry-run are the tree ones on a comb.
+A tree is written as nested lists: an int is a leaf's qubit, and a list of
+two or more specs is an internal node, so `TreeTopology([[0, 1], 2])` is a
+root over the pair (0, 1) and qubit 2. The planner and the builders below
+emit this form, and the file format stores it. `TreeTopology` walks it once
+and keeps only its index: parents, children, paths, and the min-rule bound of
+an edge (`TreeTopology.edge_bound`). The TTN engine and the dry-run walker
+work on it directly. `comb_topology` is the MPS site order written as a tree,
+so the MPS engine and its dry-run are the tree ones on a comb.
 """
 
 import json
 import math
-from dataclasses import dataclass
 
-from .errors import doc_field, doc_int
-
-
-@dataclass(frozen=True)
-class Leaf:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class Internal:
-    children: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
-            raise ValueError("internal nodes need at least two children")
+from .errors import doc_field, doc_int, doc_loads
 
 
 def node(children):
-    """Wrap children in an internal node, collapsing single-child wrappers."""
+    """An internal node over `children`, or the lone child itself."""
     children = list(children)
-    if len(children) == 1:
-        return children[0]
-    return Internal(tuple(children))
+    return children[0] if len(children) == 1 else children
 
 
 class TreeTopology:
     """A rooted tree whose leaves biject with qubits 0..N-1, indexed once.
 
-    Nodes are numbered in DFS preorder, root = 0. Every node's edge to its
-    parent is identified by the child node id, so per-edge tables from the
-    engine and the dry-run walker line up. The root may itself be a leaf only
-    in the degenerate N=1 case.
+    Built from a nested spec (an int leaf, or a list of two or more specs)
+    that is walked once and not kept. Nodes are numbered in DFS preorder,
+    root = 0. Every node's edge to its parent is identified by the child node
+    id, so per-edge tables from the engine and the dry-run walker line up. The
+    root may itself be a leaf only in the degenerate N=1 case.
     """
 
-    def __init__(self, root):
-        self.root = root
+    def __init__(self, spec):
         self.parent: list[int | None] = []
         self.children: list[list[int]] = []
         self.leaf_qubit: list[int | None] = []
+        seen = set()  # ids of the spec's lists: one met twice would make a cycle
         # DFS preorder on an explicit stack, not recursion: a comb over n
         # qubits is n levels deep
-        stack = [(root, None)]
+        stack = [(spec, None)]
         while stack:
             spec, parent_id = stack.pop()
             nid = len(self.parent)
@@ -62,9 +47,16 @@ class TreeTopology:
             self.children.append([])
             if parent_id is not None:
                 self.children[parent_id].append(nid)
-            if isinstance(spec, Internal):
-                stack.extend((ch, nid) for ch in reversed(spec.children))
-            self.leaf_qubit.append(spec.qubit if isinstance(spec, Leaf) else None)
+            if isinstance(spec, list):
+                if len(spec) < 2:
+                    raise ValueError("internal nodes need at least two children")
+                if id(spec) in seen:
+                    raise ValueError("a list appears twice in the tree spec")
+                seen.add(id(spec))
+                stack.extend((ch, nid) for ch in reversed(spec))
+                self.leaf_qubit.append(None)
+            else:
+                self.leaf_qubit.append(doc_int(spec, "a leaf"))
         leaves = sorted(q for q in self.leaf_qubit if q is not None)
         n = len(leaves)
         if leaves != list(range(n)):
@@ -88,8 +80,7 @@ class TreeTopology:
     def __eq__(self, other):
         if not isinstance(other, TreeTopology):
             return NotImplemented
-        # the index, not the nested specs, whose equality recurses (a comb is
-        # n levels deep); parent ids fix each node's children in order
+        # parent ids fix each node's children in order
         return self.leaf_qubit == other.leaf_qubit and self.parent == other.parent
 
     @property
@@ -162,20 +153,15 @@ def perfect_tree(arity: int, height: int) -> TreeTopology:
     """Perfect m-ary topology with arity**height leaves, qubits left to right."""
     if arity < 2 or height < 1:
         raise ValueError("need arity >= 2 and height >= 1")
-
-    counter = iter(range(arity**height))
-
-    def build(level):
-        if level == 0:
-            return Leaf(next(counter))
-        return Internal(tuple(build(level - 1) for _ in range(arity)))
-
-    return TreeTopology(build(height))
+    spec = list(range(arity**height))
+    for _ in range(height):
+        spec = [spec[i:i + arity] for i in range(0, len(spec), arity)]
+    return TreeTopology(spec[0])
 
 
 def comb_topology(order) -> TreeTopology:
-    """An MPS site order as a tree: node(leaf site0, node(leaf site1, ...
-    node(leaf site n-2, leaf site n-1))).
+    """An MPS site order as a tree: [site 0, [site 1, ... [site n-2, site n-1]]],
+    each site standing for the qubit placed there.
 
     `order[q]` is the site of qubit q; `comb_bond_edges` finds the bonds in
     the comb.
@@ -184,9 +170,9 @@ def comb_topology(order) -> TreeTopology:
     if not order or sorted(order) != list(range(len(order))):
         raise ValueError(f"order must be a permutation of 0..{len(order) - 1}")
     qubit_at = sorted(range(len(order)), key=order.__getitem__)
-    spec = Leaf(qubit_at[-1])
+    spec = qubit_at[-1]
     for q in reversed(qubit_at[:-1]):
-        spec = Internal((Leaf(q), spec))
+        spec = [q, spec]
     return TreeTopology(spec)
 
 
@@ -213,24 +199,24 @@ def comb_entries(bonds) -> int:
 # {"children": [node, ...]}.
 
 
-def _spec_to_obj(spec):
-    if isinstance(spec, Leaf):
-        return {"leaf": spec.qubit}
-    return {"children": [_spec_to_obj(ch) for ch in spec.children]}
+def dumps_topology(t: TreeTopology) -> str:
+    docs = [None] * t.num_nodes
+    for nid in t.postorder:
+        kids = t.children[nid]
+        docs[nid] = {"children": [docs[c] for c in kids]} if kids else {"leaf": t.leaf_qubit[nid]}
+    return json.dumps(docs[0], separators=(",", ":")) + "\n"
 
 
 def _obj_to_spec(obj):
     if isinstance(obj, dict) and "leaf" in obj:
-        return Leaf(doc_int(obj["leaf"], "a leaf"))
-    return Internal(tuple(_obj_to_spec(ch) for ch in doc_field(obj, "children", list)))
-
-
-def dumps_topology(t: TreeTopology) -> str:
-    return json.dumps(_spec_to_obj(t.root), separators=(",", ":")) + "\n"
+        return doc_int(obj["leaf"], "a leaf")
+    # map, not a comprehension: one frame per level, so any document that
+    # doc_loads reads converts within the recursion limit
+    return list(map(_obj_to_spec, doc_field(obj, "children", list)))
 
 
 def loads_topology(text: str) -> TreeTopology:
-    return TreeTopology(_obj_to_spec(json.loads(text)))
+    return TreeTopology(_obj_to_spec(doc_loads(text)))
 
 
 def save_topology(t: TreeTopology, path):

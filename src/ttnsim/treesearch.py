@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuits import Circuit
-from .topology import Internal, Leaf, TreeTopology, node
+from .topology import TreeTopology, node
 
 
 class SimilarityMatrix:
@@ -42,15 +42,6 @@ class SimilarityMatrix:
         if den == 0:
             return Fraction(0)
         return Fraction(int(self._shared[i, j])) + Fraction(1, den)
-
-    @property
-    def values(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    out[i, j] = float(self.exact(i, j))
-        return out
 
 
 def similarity_matrix(circuit: Circuit) -> SimilarityMatrix:
@@ -106,7 +97,7 @@ def _sorted_pairs(qubits, sim: SimilarityMatrix):
 
 
 def create_subtree(qubits, sim: SimilarityMatrix):
-    """Bottom-up subtree over a qubit group.
+    """Bottom-up subtree over a qubit group, as a nested spec (an int or a list).
 
     Walk the pair list in order of decreasing similarity, collecting unseen
     qubits as children; every strict drop in similarity closes the current
@@ -117,7 +108,7 @@ def create_subtree(qubits, sim: SimilarityMatrix):
     if not qubits:
         raise ValueError("cannot build a subtree over zero qubits")
     if len(qubits) == 1:
-        return Leaf(qubits[0])
+        return qubits[0]
     pairs = _sorted_pairs(qubits, sim)
     running = sim.exact(*pairs[0])
     seen: set[int] = set()
@@ -130,14 +121,14 @@ def create_subtree(qubits, sim: SimilarityMatrix):
         for q in (qa, qb):
             if q not in seen:
                 seen.add(q)
-                children.append(Leaf(q))
+                children.append(q)
     return node(children)
 
 
 def find_tree_structure(circuit: Circuit, num_clusters: int) -> TreeTopology:
     """Phase-1 planner: cluster the qubits, then root the per-cluster subtrees."""
     if circuit.num_qubits == 1:
-        return TreeTopology(Leaf(0))
+        return TreeTopology(0)
     sim = similarity_matrix(circuit)
     groups = cluster(sim, num_clusters)
     roots = [create_subtree(g, sim) for g in groups]

@@ -5,8 +5,8 @@ import shutil
 import numpy as np
 import pytest
 
-from ttnsim import cli
-from ttnsim.circuits import dumps_circuit, load_circuit
+from ttnsim import cli, statevector
+from ttnsim.circuits import dumps_circuit, fmt17, load_circuit
 from ttnsim.cli import main
 from ttnsim.treesearch import find_tree_structure
 
@@ -138,6 +138,28 @@ class TestSimulate:
         circ = tmp_path / "c.json"
         run(["gen", "lattice", "--n", 2, "--depth", 4, "--seed", 1, "--out", circ])  # 4 qubits
         assert run(["simulate", "--circuit", circ, "--engine", "statevector"] + flags) == code
+
+    def test_dense_run_is_its_own_reference(self, tmp_path, lattice4, monkeypatch):
+        ref = statevector.sv_simulate(load_circuit(lattice4))
+        expected = fmt17(statevector.fidelity(ref, ref))
+        sv_simulate = statevector.sv_simulate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sv_simulate(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense run recomputed its own amplitudes")
+
+        csv_path = tmp_path / "run.csv"
+        monkeypatch.setattr(statevector, "sv_simulate", refuse)
+        assert run(["simulate", "--circuit", lattice4, "--engine", "statevector",
+                    "--csv-out", csv_path]) == 0
+        assert csv_path.read_text().strip().split(",")[-1] == expected
+        monkeypatch.setattr(statevector, "sv_simulate", counting)
+        assert run(["simulate", "--circuit", lattice4, "--engine", "ttn"]) == 0
+        assert len(calls) == 1
 
     def test_csv_deterministic_across_runs(self, tmp_path, treelike_files):
         circ, topo = treelike_files
@@ -279,6 +301,24 @@ class TestMalformedInputsExit2:
         bad = tmp_path / "bad_topo.json"
         bad.write_text(text)
         assert run([command, "--circuit", lattice4, "--topology", bad]) == 2
+
+    # past the interpreter's recursion limit json.loads raises RecursionError;
+    # the loaders turn it into a ValueError
+    @pytest.mark.parametrize("command", ["simulate", "dryrun"])
+    def test_deep_topology(self, tmp_path, lattice4, command, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("".join(f'{{"children":[{{"leaf":{q}}},' for q in range(1500))
+                        + '{"leaf":1500}' + "]}" * 1500)
+        assert run([command, "--circuit", lattice4, "--topology", deep]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "plan", "dryrun"])
+    def test_deep_circuit(self, tmp_path, command, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000 + "]" * 5000)
+        out = ["--out", tmp_path / "t.json"] if command == "plan" else []
+        assert run([command, "--circuit", deep, *out]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestEveryEngineEnforcesCaps:

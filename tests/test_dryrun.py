@@ -10,8 +10,7 @@ from ttnsim.dryrun import (admissible, dryrun, edge_crossing_limit, gen_triangle
                            node_crossing_limit, random_qubit_orders)
 from ttnsim.gates import Gate, gate_rank, haar_unitary
 from ttnsim.mps import run_circuit as mps_run_circuit
-from ttnsim.topology import (Internal, Leaf, TreeTopology, comb_bond_edges,
-                             comb_topology, node, perfect_tree)
+from ttnsim.topology import TreeTopology, comb_bond_edges, comb_topology, perfect_tree
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import run_circuit as ttn_run_circuit
 
@@ -26,7 +25,7 @@ def random_circuit(rng, n, n_gates):
 
 class TestDryRunTree:
     def test_bell_pair_dims(self):
-        topo = TreeTopology(Internal((Leaf(0), Leaf(1))))
+        topo = TreeTopology([0, 1])
         c = Circuit(2, [gates.h(0), gates.cnot(0, 1)])
         rep = dryrun(c, topo)
         assert rep.edge_dims == {1: 2, 2: 2}
@@ -150,7 +149,7 @@ class TestCombTopology:
     def test_shape_and_bond_ids(self):
         order = [2, 0, 3, 1]  # qubit -> site
         topo = comb_topology(order)
-        assert topo == TreeTopology(node([Leaf(1), node([Leaf(3), node([Leaf(0), Leaf(2)])])]))
+        assert topo == TreeTopology([1, [3, [0, 2]]])
         bond_edges = comb_bond_edges(topo)
         assert bond_edges == [2, 4, 6]
         for j, e in enumerate(bond_edges):  # bond j: sites 0..j above the edge, j+1..3 below
@@ -174,11 +173,10 @@ class TestCombTopology:
         assert comb_topology(range(n)) != comb_topology(range(n - 1))
 
     def test_equality_is_by_shape_and_labels(self):
-        pair = TreeTopology(node([Leaf(0), Leaf(1)]))
-        assert pair == TreeTopology(node([Leaf(0), Leaf(1)]))
-        assert pair != TreeTopology(node([Leaf(1), Leaf(0)]))
-        three = [Leaf(0), Leaf(1), Leaf(2)]
-        assert TreeTopology(node(three)) != TreeTopology(node([node(three[:2]), three[2]]))
+        pair = TreeTopology([0, 1])
+        assert pair == TreeTopology([0, 1])
+        assert pair != TreeTopology([1, 0])
+        assert TreeTopology([0, 1, 2]) != TreeTopology([[0, 1], 2])
 
     def test_rejects_non_permutation(self):
         for bad in ([0, 0, 1], [1, 2, 3], []):

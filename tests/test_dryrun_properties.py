@@ -12,7 +12,7 @@ from ttnsim.circuits import Circuit
 from ttnsim.dryrun import dryrun
 from ttnsim.gates import Gate, gate_rank, haar_unitary
 from ttnsim.mps import run_circuit as mps_run_circuit
-from ttnsim.topology import Internal, Leaf, TreeTopology, comb_topology, perfect_tree
+from ttnsim.topology import TreeTopology, comb_topology, perfect_tree
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import run_circuit as ttn_run_circuit
 
@@ -79,9 +79,9 @@ def _two_qubit_gate(kind, qa, qb, rng):
 
 def _random_binary(qubits, rng):
     if len(qubits) == 1:
-        return Leaf(qubits[0])
+        return qubits[0]
     cut = int(rng.integers(1, len(qubits)))
-    return Internal((_random_binary(qubits[:cut], rng), _random_binary(qubits[cut:], rng)))
+    return [_random_binary(qubits[:cut], rng), _random_binary(qubits[cut:], rng)]
 
 
 @st.composite

@@ -27,7 +27,42 @@ class TestGateValidation:
             assert np.allclose(g.matrix.conj().T @ g.matrix, np.eye(dim), atol=1e-12)
 
 
+def _dressed(matrix, rng):
+    before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return after @ matrix @ before
+
+
+def _rank_cases():
+    """Two-qubit matrices for the gate_rank/split_gate agreement check, the
+    cphase phases straddling GATE_RANK_TOL (the rank drops to 1 near 4e-10)."""
+    rng = np.random.default_rng(2024)
+    library = [gates.cnot(0, 1), gates.cz(0, 1), gates.swap(0, 1), gates.cphase(0.7, 0, 1),
+               gates.fsim(0.5, 0.7, 0, 1), gates.fsim(np.pi / 2, 0.0, 0, 1)]
+    cases = [pytest.param(g.matrix, id=g.label) for g in library]
+    cases += [pytest.param(_dressed(g.matrix, rng), id=f"dressed-{g.label}-{i}")
+              for g in library[:2] for i in range(3)]
+    cases += [pytest.param(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), id=f"product-{i}")
+              for i in range(3)]
+    cases += [pytest.param(haar_unitary(4, rng), id=f"haar-{i}") for i in range(3)]
+    for phi in np.logspace(-12, -8, 17):
+        m = gates.cphase(phi, 0, 1).matrix
+        cases += [pytest.param(m, id=f"cphase-{phi:.1e}"),
+                  pytest.param(_dressed(m, rng), id=f"dressed-cphase-{phi:.1e}")]
+    return cases
+
+
 class TestGateRank:
+    @pytest.mark.parametrize("matrix", _rank_cases())
+    def test_dryrun_and_engines_count_the_same_rank(self, matrix):
+        # the dry-run counts k with gate_rank, the engines with split_gate
+        g = Gate("g", (0, 1), matrix)
+        assert gate_rank(g) == split_gate(g)[2]
+
+    def test_cphase_phases_straddle_the_tolerance(self):
+        assert gate_rank(gates.cphase(1e-12, 0, 1)) == 1
+        assert gate_rank(gates.cphase(1e-8, 0, 1)) == 2
+
     def test_cnot_is_two(self):
         assert gate_rank(gates.cnot(0, 1)) == 2
 

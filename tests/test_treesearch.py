@@ -6,16 +6,19 @@ import pytest
 from ttnsim import gates
 from ttnsim.circuits import Circuit, gen_treelike
 from ttnsim.gates import Gate, haar_unitary
-from ttnsim.topology import (Internal, Leaf, TreeTopology, dumps_topology,
-                             load_topology, loads_topology, perfect_tree, save_topology)
+from ttnsim.topology import (TreeTopology, comb_topology, dumps_topology, load_topology,
+                             loads_topology, perfect_tree, save_topology)
 from ttnsim.treesearch import (cluster, create_subtree, find_tree_structure, l_cluster,
                                similarity_matrix)
 
 
-def leaf_sets(spec):
-    if isinstance(spec, Leaf):
-        return frozenset([spec.qubit])
-    return frozenset().union(*(leaf_sets(ch) for ch in spec.children))
+def qubits_below(topo, nid):
+    return frozenset(topo.leaf_qubit[n] for n in range(topo.num_nodes)
+                     if topo.is_leaf(n) and nid in topo.ancestors(n))
+
+
+def exact_matrix(s):
+    return [[s.exact(i, j) for j in range(s.n)] for i in range(s.n)]
 
 
 class TestSimilarityMatrix:
@@ -25,7 +28,7 @@ class TestSimilarityMatrix:
         assert s.exact(0, 1) == Fraction(2) + Fraction(1, 5)   # 2.2
         assert s.exact(1, 2) == Fraction(1) + Fraction(1, 4)   # 1.25
         assert s.exact(0, 2) == Fraction(1, 3)  # no shared gate, degrees 2 + 1
-        assert np.isclose(s.values[0, 1], 2.2)
+        assert s.exact(1, 0) == Fraction(11, 5)
 
     def test_single_gate(self):
         s = similarity_matrix(Circuit(2, [gates.cnot(0, 1)]))
@@ -33,13 +36,13 @@ class TestSimilarityMatrix:
 
     def test_gate_free_circuit_is_all_zero(self):
         s = similarity_matrix(Circuit(4))
-        assert np.array_equal(s.values, np.zeros((4, 4)))
+        assert exact_matrix(s) == [[0] * 4] * 4
 
     def test_diagonal_zero_and_symmetry(self):
         c = Circuit(3, [gates.cz(0, 2), gates.cnot(1, 0)])
-        vals = similarity_matrix(c).values
-        assert np.array_equal(vals, vals.T)
-        assert np.all(np.diag(vals) == 0)
+        vals = exact_matrix(similarity_matrix(c))
+        assert vals == [list(col) for col in zip(*vals)]
+        assert all(vals[i][i] == 0 for i in range(3))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
@@ -50,9 +53,10 @@ class TestSimilarityMatrix:
         perm = list(rng.permutation(5))
         relabeled = Circuit(5, [Gate(g.label, tuple(perm[q] for q in g.qubits), g.matrix)
                                 for g in c.gates])
-        base = similarity_matrix(c).values
-        moved = similarity_matrix(relabeled).values
-        assert np.allclose(moved[np.ix_(perm, perm)], base)
+        base = similarity_matrix(c)
+        moved = similarity_matrix(relabeled)
+        assert [[moved.exact(perm[i], perm[j]) for j in range(5)] for i in range(5)] \
+            == exact_matrix(base)
 
     def test_adding_a_gate_never_lowers_integer_part(self):
         rng = np.random.default_rng(12)
@@ -108,40 +112,39 @@ class TestCluster:
 class TestCreateSubtree:
     def test_single_qubit_is_leaf(self):
         s = similarity_matrix(Circuit(2))
-        assert create_subtree([1], s) == Leaf(1)
+        assert create_subtree([1], s) == 1
 
     def test_two_qubits(self):
         s = similarity_matrix(Circuit(2, [gates.cz(0, 1)]))
-        assert create_subtree([0, 1], s) == Internal((Leaf(0), Leaf(1)))
+        assert create_subtree([0, 1], s) == [0, 1]
 
     def test_strict_drop_wraps_earlier_batch(self):
         # s(0,1)=2.2 > s(1,2)=1.25: the {0,1} pair closes into its own node
         # before qubit 2 joins
         c = Circuit(3, [gates.cnot(0, 1), gates.cnot(0, 1), gates.cnot(1, 2)])
         node = create_subtree([0, 1, 2], similarity_matrix(c))
-        assert node == Internal((Internal((Leaf(0), Leaf(1))), Leaf(2)))
+        assert node == [[0, 1], 2]
 
     def test_equal_similarities_share_one_node(self):
         s = similarity_matrix(Circuit(3))  # all pairs score 0
         node = create_subtree([0, 1, 2], s)
-        assert node == Internal((Leaf(0), Leaf(1), Leaf(2)))
+        assert node == [0, 1, 2]
 
 
 class TestFindTreeStructure:
     def test_two_qubits_single_cluster(self):
         topo = find_tree_structure(Circuit(2, [gates.cz(0, 1)]), 1)
-        assert topo.root == Internal((Leaf(0), Leaf(1)))
+        assert topo == TreeTopology([0, 1])
 
     def test_single_qubit_root_is_leaf(self):
         topo = find_tree_structure(Circuit(1), 1)
-        assert topo.root == Leaf(0)
+        assert topo == TreeTopology(0) and topo.is_leaf(0)
 
     def test_treelike_shape(self):
         c = gen_treelike(4, reps=1)
         topo = find_tree_structure(c, 4)
-        assert isinstance(topo.root, Internal)
-        assert len(topo.root.children) == 4
-        sets = {leaf_sets(ch) for ch in topo.root.children}
+        assert len(topo.children[0]) == 4
+        sets = {qubits_below(topo, ch) for ch in topo.children[0]}
         assert frozenset({0, 1, 2, 3, 16}) in sets
         assert frozenset({4, 5, 6, 7}) in sets
 
@@ -197,6 +200,38 @@ class TestLCluster:
             l_cluster(2, 1)
 
 
+def comb_document(levels):
+    """A comb file of `levels` internal nodes, written by hand: two JSON
+    containers per level."""
+    return ("".join(f'{{"children":[{{"leaf":{q}}},' for q in range(levels))
+            + f'{{"leaf":{levels}}}' + "]}" * levels)
+
+
+class TestTreeSpec:
+    def test_nested_lists_are_indexed_in_preorder(self):
+        topo = TreeTopology([[0, 1], 2])
+        assert topo.parent == [None, 0, 1, 1, 0]
+        assert topo.leaf_qubit == [None, None, 0, 1, 2]
+        assert topo.children == [[1, 4], [2, 3], [], [], []]
+
+    def test_builders_match_their_specs(self):
+        assert perfect_tree(2, 2) == TreeTopology([[0, 1], [2, 3]])
+        assert perfect_tree(3, 1) == TreeTopology([0, 1, 2])
+        assert comb_topology([0, 1, 2]) == TreeTopology([0, [1, 2]])
+
+    @pytest.mark.parametrize("spec", ["x", None, [0], [0, "junk", 1], [], (0, 1), 1.0, True],
+                             ids=repr)
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ValueError):
+            TreeTopology(spec)
+
+    def test_cyclic_spec_rejected(self):
+        spec = [0, 1]
+        spec.append(spec)
+        with pytest.raises(ValueError, match="twice"):
+            TreeTopology(spec)
+
+
 class TestTopologyFile:
     def test_round_trip(self, tmp_path):
         topo = find_tree_structure(gen_treelike(3, reps=2), 3)
@@ -205,9 +240,18 @@ class TestTopologyFile:
         assert load_topology(path) == topo
 
     def test_document_shape(self):
-        topo = TreeTopology(Internal((Leaf(0), Leaf(1))))
+        topo = TreeTopology([0, 1])
         assert dumps_topology(topo) == '{"children":[{"leaf":0},{"leaf":1}]}\n'
         assert loads_topology('{"children":[{"leaf":0},{"leaf":1}]}') == topo
+
+    def test_deep_comb_loads_below_the_nesting_limit(self):
+        topo = loads_topology(comb_document(400))
+        assert topo == comb_topology(range(401))
+        assert dumps_topology(topo) == comb_document(400) + "\n"
+
+    def test_too_deep_document_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            loads_topology(comb_document(1500))
 
     def test_bad_leaf_set_rejected(self):
         with pytest.raises(ValueError):

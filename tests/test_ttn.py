@@ -10,15 +10,14 @@ from ttnsim.errors import MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary
 from ttnsim.statevector import fidelity, overlap_error, sv_simulate
 from ttnsim.tensors import EXACT, TruncationPolicy
-from ttnsim.topology import (Internal, Leaf, TreeTopology, comb_topology,
-                             perfect_tree)
+from ttnsim.topology import TreeTopology, comb_topology, perfect_tree
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import (TtnState, entries_upper_bound, flops_bound, node_count_bound,
                         run_circuit)
 
 
 def two_leaf():
-    return TreeTopology(Internal((Leaf(0), Leaf(1))))
+    return TreeTopology([0, 1])
 
 
 def random_circuit(rng, n, n_gates, p_single=0.3):
