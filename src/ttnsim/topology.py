@@ -204,7 +204,10 @@ def dumps_topology(t: TreeTopology) -> str:
     for nid in t.postorder:
         kids = t.children[nid]
         docs[nid] = {"children": [docs[c] for c in kids]} if kids else {"leaf": t.leaf_qubit[nid]}
-    return json.dumps(docs[0], separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(docs[0], separators=(",", ":")) + "\n"
+    except RecursionError:
+        raise ValueError("the tree is nested too deeply to write") from None
 
 
 def _obj_to_spec(obj):
@@ -220,8 +223,9 @@ def loads_topology(text: str) -> TreeTopology:
 
 
 def save_topology(t: TreeTopology, path):
+    text = dumps_topology(t)  # before the open: a tree too deep leaves no file
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_topology(t))
+        f.write(text)
 
 
 def load_topology(path) -> TreeTopology:

@@ -8,8 +8,11 @@ tie-breaker that favors sparsely used qubits:
 where deg(q) counts the two-qubit gates touching q; pairs with deg(i) +
 deg(j) = 0 score 0. All comparisons between scores are done with exact
 integer fractions so that tie handling never depends on float rounding.
+`cluster` and `create_subtree` each score a qubit pair once: clustering keeps
+a table of pair-score sums between groups and updates it on every merge.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,10 +39,8 @@ class SimilarityMatrix:
 
     def exact(self, i: int, j: int) -> Fraction:
         """Similarity of a qubit pair as an exact fraction."""
-        if i == j:
-            return Fraction(0)
         den = int(self._degree[i] + self._degree[j])
-        if den == 0:
+        if i == j or den == 0:
             return Fraction(0)
         return Fraction(int(self._shared[i, j])) + Fraction(1, den)
 
@@ -53,30 +54,31 @@ def cluster(sim: SimilarityMatrix, num_clusters: int) -> list[list[int]]:
 
     Average-linkage on the similarity scores, merging greedily; no cluster
     may grow beyond ceil(1.5 * n / num_clusters) members, which keeps the
-    subtrees under the root similar-sized. Deterministic: scores are exact
-    fractions and ties resolve to the lexicographically smallest pair.
-    Returns the clusters sorted by their smallest member.
+    subtrees under the root similar-sized. `sums[i][j]` totals the scores
+    between groups i and j, and their linkage is that total over the product
+    of their sizes. Merging j into i adds row and column j into row and
+    column i, then drops them (the Lance-Williams update for average
+    linkage). Deterministic: sums are exact fractions and ties resolve to
+    the lexicographically smallest pair. Returns the clusters sorted by
+    their smallest member.
     """
     n = sim.n
     if not 1 <= num_clusters <= n:
         raise ValueError(f"cluster count must be in [1, {n}], got {num_clusters}")
     cap = math.ceil(1.5 * n / num_clusters)
     groups = [[q] for q in range(n)]
-
-    def linkage(a, b) -> Fraction:
-        total = Fraction(0)
-        for qi in a:
-            for qj in b:
-                total += sim.exact(qi, qj)
-        return total / (len(a) * len(b))
+    sums = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        sums[i][j] = sums[j][i] = sim.exact(i, j)
 
     while len(groups) > num_clusters:
         best = None
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
-                if len(groups[i]) + len(groups[j]) > cap:
+                a, b = groups[i], groups[j]
+                if len(a) + len(b) > cap:
                     continue
-                key = (linkage(groups[i], groups[j]), -groups[i][0], -groups[j][0])
+                key = (sums[i][j] / (len(a) * len(b)), -a[0], -b[0])
                 if best is None or key > best[0]:
                     best = (key, i, j)
         if best is None:
@@ -85,39 +87,35 @@ def cluster(sim: SimilarityMatrix, num_clusters: int) -> list[list[int]]:
             order = sorted(range(len(groups)), key=lambda i: (len(groups[i]), groups[i][0]))
             best = (None, min(order[:2]), max(order[:2]))
         _, i, j = best
-        groups[i] = sorted(groups[i] + groups[j])
-        del groups[j]
+        groups[i] = sorted(groups[i] + groups.pop(j))
+        for row in sums:
+            row[i] += row.pop(j)
+        sums[i] = [x + y for x, y in zip(sums[i], sums.pop(j))]
     return sorted(groups, key=lambda g: g[0])
-
-
-def _sorted_pairs(qubits, sim: SimilarityMatrix):
-    """All qubit pairs, most similar first; ties by (min index, max index)."""
-    pairs = [(min(a, b), max(a, b)) for idx, a in enumerate(qubits) for b in qubits[idx + 1:]]
-    return sorted(pairs, key=lambda p: (-sim.exact(*p), p[0], p[1]))
 
 
 def create_subtree(qubits, sim: SimilarityMatrix):
     """Bottom-up subtree over a qubit group, as a nested spec (an int or a list).
 
-    Walk the pair list in order of decreasing similarity, collecting unseen
-    qubits as children; every strict drop in similarity closes the current
-    batch into a new internal node before the lower-scored pairs contribute.
-    Single-child wrappers collapse, so equal-similarity runs share one node.
+    Walk the pairs in order of decreasing similarity (ties by smaller, then
+    larger qubit), collecting unseen qubits as children; every strict drop in
+    similarity closes the current batch into a new internal node before the
+    lower-scored pairs contribute. Single-child wrappers collapse, so
+    equal-similarity runs share one node.
     """
-    qubits = list(qubits)
+    qubits = sorted(qubits)
     if not qubits:
         raise ValueError("cannot build a subtree over zero qubits")
     if len(qubits) == 1:
         return qubits[0]
-    pairs = _sorted_pairs(qubits, sim)
-    running = sim.exact(*pairs[0])
+    pairs = sorted((-sim.exact(a, b), a, b) for a, b in itertools.combinations(qubits, 2))
+    running = pairs[0][0]
     seen: set[int] = set()
     children: list = []
-    for qa, qb in pairs:
-        value = sim.exact(qa, qb)
-        if running > value:
+    for score, qa, qb in pairs:
+        if score > running:  # scores are negated: this is a strict drop
             children = [node(children)]
-            running = value
+            running = score
         for q in (qa, qb):
             if q not in seen:
                 seen.add(q)
@@ -127,12 +125,8 @@ def create_subtree(qubits, sim: SimilarityMatrix):
 
 def find_tree_structure(circuit: Circuit, num_clusters: int) -> TreeTopology:
     """Phase-1 planner: cluster the qubits, then root the per-cluster subtrees."""
-    if circuit.num_qubits == 1:
-        return TreeTopology(0)
     sim = similarity_matrix(circuit)
-    groups = cluster(sim, num_clusters)
-    roots = [create_subtree(g, sim) for g in groups]
-    return TreeTopology(node(roots))
+    return TreeTopology(node(create_subtree(g, sim) for g in cluster(sim, num_clusters)))
 
 
 def default_cluster_count(num_qubits: int) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttnsim import cli, statevector
-from ttnsim.circuits import dumps_circuit, fmt17, load_circuit
+from ttnsim.circuits import Circuit, dumps_circuit, fmt17, load_circuit
 from ttnsim.cli import main
 from ttnsim.treesearch import find_tree_structure
 
@@ -73,6 +73,18 @@ class TestPlan:
         out = tmp_path / "out.json"
         assert run([command, "--circuit", circ, "--clusters", 0, out_flag, out]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, out_flag", [("plan", "--out"),
+                                                   ("simulate", "--metrics-out")])
+    @pytest.mark.parametrize("clusters, code", [(0, 2), (1, 0), (2, 2)])
+    def test_one_qubit_cluster_range(self, tmp_path, command, out_flag, clusters, code):
+        circ = tmp_path / "one.json"
+        circ.write_text(dumps_circuit(Circuit(1)))
+        out = tmp_path / "out.json"
+        assert run([command, "--circuit", circ, "--clusters", clusters, out_flag, out]) == code
+        assert out.exists() == (code == 0)
+        if command == "plan" and code == 0:
+            assert out.read_text() == '{"leaf":0}\n'
 
 
 class TestSimulate:

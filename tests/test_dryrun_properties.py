@@ -4,7 +4,7 @@ circuits, checked against test-local reference walkers and the engines."""
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttnsim import gates
@@ -112,12 +112,8 @@ def trees_and_circuits(draw):
     return circuit, TreeTopology(_random_binary(qubits, rng))
 
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
-
-
 class TestDryRunProperties:
-    @settings(PROPERTY, max_examples=200)
+    @settings(max_examples=200)
     @given(trees_and_circuits(), st.sampled_from([None, 1, 2, 3, 4, 8, 16]))
     def test_worklist_matches_whole_tree_fixpoint(self, case, cap):
         circuit, topo = case
@@ -125,7 +121,7 @@ class TestDryRunProperties:
         dims, clamps = reference_tree_dims(circuit, topo, cap)
         assert (rep.edge_dims, rep.cap_events) == (dims, clamps)
 
-    @settings(PROPERTY, max_examples=80)
+    @settings(max_examples=80)
     @given(trees_and_circuits())
     def test_tree_dims_bound_engine(self, case):
         circuit, topo = case
@@ -133,7 +129,7 @@ class TestDryRunProperties:
         state = ttn_run_circuit(circuit, topo)
         assert all(rep.edge_dims[e] >= state.edge_dim(e) for e in rep.edge_dims)
 
-    @settings(PROPERTY, max_examples=80)
+    @settings(max_examples=80)
     @given(circuits(), st.data())
     def test_mps_dims_between_engine_and_chain_rule(self, circuit, data):
         order = data.draw(st.permutations(range(circuit.num_qubits)))

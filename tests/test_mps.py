@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttnsim import gates
@@ -271,8 +271,7 @@ def circuits_and_orders(draw):
 
 
 class TestAgainstChainEngine:
-    @settings(derandomize=True, deadline=None, database=None, max_examples=150,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=150)
     @given(circuits_and_orders())
     def test_exact_mode_matches_chain_engine(self, case):
         circuit, order = case

@@ -5,11 +5,12 @@ import pytest
 
 from ttnsim import gates
 from ttnsim.circuits import Circuit, gen_treelike
+from ttnsim.dryrun import gen_triangle_pattern
 from ttnsim.gates import Gate, haar_unitary
 from ttnsim.topology import (TreeTopology, comb_topology, dumps_topology, load_topology,
                              loads_topology, perfect_tree, save_topology)
-from ttnsim.treesearch import (cluster, create_subtree, find_tree_structure, l_cluster,
-                               similarity_matrix)
+from ttnsim.treesearch import (SimilarityMatrix, cluster, create_subtree, default_cluster_count,
+                               find_tree_structure, l_cluster, similarity_matrix)
 
 
 def qubits_below(topo, nid):
@@ -152,6 +153,24 @@ class TestFindTreeStructure:
         c = gen_treelike(3, reps=2)
         assert find_tree_structure(c, 3) == find_tree_structure(c, 3)
 
+    def test_scores_each_pair_about_once(self, monkeypatch):
+        # re-summing every linkage from single pair scores at each merge
+        # takes 190 209 scores here; scoring each pair once per phase takes
+        # N(N-1)/2 = 3240 for clustering plus the subtrees' pairs
+        circuit, _ = gen_triangle_pattern(3, 64)
+        n = circuit.num_qubits
+        calls = 0
+        exact = SimilarityMatrix.exact
+
+        def counted(sim, i, j):
+            nonlocal calls
+            calls += 1
+            return exact(sim, i, j)
+
+        monkeypatch.setattr(SimilarityMatrix, "exact", counted)
+        find_tree_structure(circuit, default_cluster_count(n))
+        assert n == 81 and calls <= 2 * n * n
+
     def test_invariants_on_random_circuits(self):
         rng = np.random.default_rng(31)
         for trial in range(8):
@@ -248,6 +267,15 @@ class TestTopologyFile:
         topo = loads_topology(comb_document(400))
         assert topo == comb_topology(range(401))
         assert dumps_topology(topo) == comb_document(400) + "\n"
+
+    def test_too_deep_tree_is_not_written(self, tmp_path):
+        topo = comb_topology(range(600))
+        with pytest.raises(ValueError, match="nested too deeply to write"):
+            dumps_topology(topo)
+        path = tmp_path / "deep.json"
+        with pytest.raises(ValueError, match="nested too deeply to write"):
+            save_topology(topo, path)
+        assert not path.exists()
 
     def test_too_deep_document_is_a_value_error(self):
         with pytest.raises(ValueError, match="nested too deeply"):

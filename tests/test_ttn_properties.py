@@ -5,7 +5,7 @@ needs it), against the dense state's Schmidt ranks and against the dense
 oracle."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttnsim import gates
@@ -163,12 +163,8 @@ def trees_and_circuits(draw):
     return circuit, comb_topology(draw(st.permutations(range(n))))
 
 
-PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
-
-
 class TestSweepProperties:
-    @settings(PROPERTY, max_examples=300)
+    @settings(max_examples=300)
     @given(trees_and_circuits(), st.sampled_from(POLICIES))
     def test_gate_sweeps_match_reference_and_oracle(self, case, policy):
         circuit, topo = case
@@ -181,7 +177,7 @@ class TestSweepProperties:
         if policy == EXACT:
             assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
 
-    @settings(PROPERTY, max_examples=200)
+    @settings(max_examples=200)
     @given(trees_and_circuits())
     def test_exact_sweeps_reveal_as_reference(self, case):
         # exact mode is where every edge must land on its Schmidt rank
@@ -194,7 +190,7 @@ class TestSweepProperties:
             assert_same_sweep(state, ref, EXACT)
         assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
 
-    @settings(PROPERTY, max_examples=150)
+    @settings(max_examples=150)
     @given(trees_and_circuits(), st.sampled_from(POLICIES))
     def test_whole_tree_sweep_matches_reference(self, case, policy):
         # the last gate is threaded but not swept, so the whole-tree sweep
