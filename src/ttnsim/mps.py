@@ -2,12 +2,16 @@
 
 An MPS in a qubit-to-site order is a `TtnState` on `comb_topology(order)`,
 the tree [site 0, [site 1, ... [site n-2, site n-1]]]. Bond j is the edge
-above the spine node that holds sites j+1..n-1, and the root (site 0's spine
-node) carries the norm, as in a right-canonical MPS. A long-range two-qubit
-gate threads its bond along the spine, multiplying every bond between its
-sites by k, which is exactly the cost model the tree engine is compared
-against. Sizes are reported per site as an MPS stores them: (left bond,
-physical=2, right bond).
+above the spine node that holds sites j+1..n-1. It is a mixed canonical MPS:
+the orthogonality center, which carries the norm, is the spine node of the
+lower site of the last two-qubit gate (site 0's, the root, at the start and
+after a whole-chain sweep); the sites left of it are left-canonical and those
+right of it right-canonical. A nearest-neighbour gate moves the center a few
+sites and factorizes only around its two sites, so its cost does not grow
+with the chain. A long-range two-qubit gate threads its bond along the spine,
+multiplying every bond between its sites by k, which is exactly the cost
+model the tree engine is compared against. Sizes are reported per site as an
+MPS stores them: (left bond, physical=2, right bond).
 """
 
 from .circuits import Circuit

@@ -65,6 +65,9 @@ class TreeTopology:
         self.num_nodes = len(self.parent)
         self.qubit_node = {q: nid for nid, q in enumerate(self.leaf_qubit) if q is not None}
         self.node_height = [0] * self.num_nodes
+        self.depth = [0] * self.num_nodes  # preorder: a parent precedes its children
+        for nid in range(1, self.num_nodes):
+            self.depth[nid] = self.depth[self.parent[nid]] + 1
         for nid in reversed(range(self.num_nodes)):
             if self.children[nid]:
                 self.node_height[nid] = 1 + max(self.node_height[c] for c in self.children[nid])

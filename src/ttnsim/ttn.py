@@ -2,23 +2,28 @@
 
 A state is one tensor per tree node: leaves carry (physical=2, parent) axes,
 internal nodes one axis per child plus a parent axis, and the root's parent
-axis is a dimension-1 dummy. In canonical form every non-root tensor is an
-isometry from its downstream axes to its parent axis, and the global norm
-equals the root tensor's norm.
+axis is a dimension-1 dummy. The state is kept in mixed canonical form around
+one node, its orthogonality center (`TtnState.center`): every other tensor is
+an isometry onto the axis that points towards the center (its parent axis,
+unless the center lies below it), so the global norm is the center tensor's.
 
-Two-qubit gates are applied by Schmidt-splitting the gate, absorbing the two
-factors into the target leaves, and threading the rank-k bond through every
-node on the tree path between them; the identity connectors keep interior
-nodes isometric (the turning node carries the compensating 1/sqrt(k)), so a
-re-orthonormalization of the touched branches restores canonical form.
+A two-qubit gate first carries the center, by gauge-only moves along the
+tree, to its turning node (the lowest common ancestor of its two leaves).
+The gate is then Schmidt-split, its two factors absorbed into the target
+leaves, and its rank-k bond threaded through every node on the tree path
+between them; the identity connectors keep interior nodes isometric (the
+turning node, the center, carries the compensating 1/sqrt(k) and keeps its
+norm), so only the path below the turning node needs re-orthonormalization.
+A gate inside a subtree cannot change the Schmidt spectrum across any edge at
+or above its turning node, and nothing there is touched: on a comb (the MPS)
+a nearest-neighbour gate costs the same at every site.
 
-That sweep is the same for every truncation policy: a bottom-up pass that
-only moves the gauge (identity or QR, no rank search), then one walk of the
-orthogonality center that SVDs every touched edge against the state's true
-Schmidt spectrum. Exact mode keeps each edge at its Schmidt rank there, and
-a truncating policy cuts there. The walk goes down the union of the touched
-branches in child order and climbs back after each subtree, so a segment
-the two gate branches share is factorized once.
+The sweep is the same for every truncation policy: a bottom-up pass that
+only moves the gauge of the path nodes into the center (identity or QR, no
+rank search), then one walk of the center down the path and back that SVDs
+every path edge against the state's true Schmidt spectrum. Exact mode keeps
+each edge at its Schmidt rank there, and a truncating policy cuts there. The
+whole-tree sweep does the same from the root over every edge.
 """
 
 import math
@@ -76,8 +81,22 @@ def _expand_pair(t: np.ndarray, ax1: int, ax2: int, k: int, scale: float = 1.0) 
     return np.ascontiguousarray(out).reshape(shape)
 
 
+def _gauge_factors(mat: np.ndarray, nid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge-only factorization `mat = iso @ remainder` of node `nid`'s
+    matrix, no rank search: with no more rows p than columns q, `iso` is the
+    p-by-p identity and the whole matrix is the remainder (the edge becomes
+    p); otherwise a reduced QR keeps the edge at q."""
+    if mat.shape[0] <= mat.shape[1]:
+        return np.eye(mat.shape[0], dtype=mat.dtype), mat
+    try:
+        return qr_econ(mat)
+    except FactorizationError as exc:
+        raise FactorizationError(f"node {nid}: {exc}") from exc
+
+
 class TtnState:
-    """Mutable TTN statevector over a fixed tree topology."""
+    """Mutable TTN statevector over a fixed tree topology, in mixed canonical
+    form around the node `center` (the root at construction)."""
 
     def __init__(self, tree: TreeTopology, tensors: list[np.ndarray],
                  memory_cap: int = DEFAULT_MEMORY_CAP):
@@ -85,6 +104,7 @@ class TtnState:
         self.tensors = tensors
         self.memory_cap = memory_cap
         self.cap_events = 0
+        self.center = 0
 
     # -- construction -------------------------------------------------------
 
@@ -109,6 +129,7 @@ class TtnState:
     def copy(self) -> "TtnState":
         clone = type(self)(self.tree, [t.copy() for t in self.tensors], self.memory_cap)
         clone.cap_events = self.cap_events
+        clone.center = self.center
         return clone
 
     # -- gate application ---------------------------------------------------
@@ -121,22 +142,25 @@ class TtnState:
         self.tensors[leaf] = np.tensordot(g.matrix, self.tensors[leaf], axes=(1, 0))
         return self
 
-    def thread_two_qubit(self, g: Gate) -> set[int]:
-        """Split a two-qubit gate and thread its bond along the leaf-leaf path.
+    def thread_two_qubit(self, g: Gate) -> list[int]:
+        """Move the center to the gate's turning node, split the gate and
+        thread its bond along the leaf-leaf path.
 
         Leaves absorb the gate factors (the new bond index is fused into
         each leaf's parent axis); every pass-through node on the path gets an
         identity connector tying its path-child axis to its parent axis, and
         the turning node a 1/sqrt(k) connector across its two path-child
         axes. Interior isometries survive; only the two leaves need
-        re-orthonormalization. Returns the set of nodes the following sweep
-        must visit (all ancestors of either leaf).
+        re-orthonormalization. Returns the path nodes below the turning node,
+        `up_a + up_b`, each chain from its leaf upwards: the nodes the
+        following sweep must visit.
         """
         if g.num_qubits != 2:
             raise ValueError("expected a two-qubit gate")
         qa, qb = g.qubits
         g_a, g_b, k = split_gate(g)
         up_a, lca, up_b = self.tree.path_between(qa, qb)
+        self._move_center(lca)
 
         affected = (self.tensors[up_a[0]].size + self.tensors[up_b[0]].size) * k
         affected += sum(self.tensors[n].size for n in up_a[1:] + up_b[1:] + [lca]) * k * k
@@ -164,13 +188,13 @@ class TtnState:
         self.tensors[lca] = _expand_pair(
             self.tensors[lca], min(ca, cb), max(ca, cb), k, scale=1.0 / math.sqrt(k)
         )
-        return set(self.tree.ancestors(up_a[0])) | set(self.tree.ancestors(up_b[0]))
+        return up_a + up_b
 
     def apply_two_qubit(self, g: Gate, policy: TruncationPolicy = EXACT):
-        """Two-qubit gate: thread, then restore canonical form on the touched
-        branches under the given truncation policy."""
-        dirty = self.thread_two_qubit(g)
-        self.orthonormalize(policy, nodes=dirty)
+        """Two-qubit gate: thread, then restore canonical form on the path
+        below the turning node under the given truncation policy."""
+        path = self.thread_two_qubit(g)
+        self.orthonormalize(policy, nodes=path)
         return self
 
     def apply(self, g: Gate, policy: TruncationPolicy = EXACT):
@@ -179,6 +203,14 @@ class TtnState:
         return self.apply_two_qubit(g, policy)
 
     # -- canonical form -----------------------------------------------------
+
+    def _against_child(self, nid: int, child: int) -> np.ndarray:
+        """Node `nid` matricized against the edge to its child `child`: that
+        edge as columns, every other axis (in order) as rows."""
+        ci = self.tree.child_index(child)
+        t = self.tensors[nid]
+        stacked = t.reshape(math.prod(t.shape[:ci]), t.shape[ci], -1)  # (before, edge, after)
+        return stacked.transpose(0, 2, 1).reshape(-1, t.shape[ci])
 
     def _absorb_up(self, nid: int, iso: np.ndarray, remainder: np.ndarray):
         """Set node `nid` to the isometry `iso` (downstream rows by new edge
@@ -189,26 +221,59 @@ class TtnState:
         parent = self.tree.parent[nid]
         ci = self.tree.child_index(nid)
         pt = self.tensors[parent]
-        # on (before, edge, after) stacks one matmul replaces the edge axis in place
-        merged = remainder @ pt.reshape(math.prod(pt.shape[:ci]), pt.shape[ci], -1)
+        # on (before, edge, after) stacks one matmul replaces the edge axis in
+        # place; with after = 1 (the root's last child) that would be one
+        # matrix-vector product per row, so take one matrix product instead
+        stacked = pt.reshape(math.prod(pt.shape[:ci]), pt.shape[ci], -1)
+        if stacked.shape[2] == 1:
+            merged = stacked[:, :, 0] @ remainder.T
+        else:
+            merged = remainder @ stacked
         new_shape = pt.shape[:ci] + (remainder.shape[0],) + pt.shape[ci + 1:]
         self.tensors[parent] = merged.reshape(new_shape)
 
+    def _absorb_down(self, parent: int, child: int, iso: np.ndarray, remainder: np.ndarray):
+        """Set `parent` to the isometry `iso` (its `_against_child` rows by
+        new edge columns) and contract `remainder` (new edge by old edge) into
+        the child's parent axis, moving the orthogonality center one edge
+        down."""
+        ci = self.tree.child_index(child)
+        t = self.tensors[parent]
+        k = iso.shape[1]
+        u = iso.reshape(math.prod(t.shape[:ci]), -1, k).transpose(0, 2, 1)
+        self.tensors[parent] = u.reshape(t.shape[:ci] + (k,) + t.shape[ci + 1:])
+        ct = self.tensors[child]
+        merged = ct.reshape(-1, ct.shape[-1]) @ remainder.T
+        self.tensors[child] = merged.reshape(ct.shape[:-1] + (k,))
+
     def _gauge_up(self, nid: int):
-        """Gauge-only upward move, no rank search. A node whose downstream
-        size p is at most its parent edge q becomes the identity and its
-        whole matrix moves into the parent (the edge becomes p); otherwise a
-        reduced QR keeps the edge at q."""
+        """Gauge-only upward move of the center from `nid` into its parent,
+        no rank search (`_gauge_factors`)."""
         t = self.tensors[nid]
-        mat = t.reshape(-1, t.shape[-1])
-        if mat.shape[0] <= mat.shape[1]:
-            self._absorb_up(nid, np.eye(mat.shape[0], dtype=mat.dtype), mat)
-            return
-        try:
-            q, rem = qr_econ(mat)
-        except FactorizationError as exc:
-            raise FactorizationError(f"node {nid}: {exc}") from exc
-        self._absorb_up(nid, q, rem)
+        self._absorb_up(nid, *_gauge_factors(t.reshape(-1, t.shape[-1]), nid))
+
+    def _gauge_down(self, parent: int, child: int):
+        """Gauge-only downward move of the center from `parent` into
+        `child`, no rank search (`_gauge_factors`)."""
+        mat = self._against_child(parent, child)
+        self._absorb_down(parent, child, *_gauge_factors(mat, parent))
+
+    def _move_center(self, target: int):
+        """Carry the orthogonality center to `target` along the tree path:
+        `_gauge_up` while it climbs to the lowest common ancestor of the two,
+        `_gauge_down` while it descends. Edge dimensions never grow."""
+        parent, depth = self.tree.parent, self.tree.depth
+        node, goal, down = self.center, target, []
+        while node != target:
+            if depth[node] >= depth[target]:
+                self._gauge_up(node)
+                node = parent[node]
+            else:
+                down.append(target)
+                target = parent[target]
+        for child in reversed(down):
+            self._gauge_down(parent[child], child)
+        self.center = goal
 
     def _split_down(self, parent: int, child: int, policy: TruncationPolicy):
         """Downward move of the orthogonality center from `parent` into
@@ -216,36 +281,30 @@ class TtnState:
         the parent matricized against the child's edge yields the state's
         true Schmidt spectrum across that edge, which both exposes the
         minimal edge dimension and is where the policy truncates."""
-        ci = self.tree.child_index(child)
-        t = self.tensors[parent]
-        before = math.prod(t.shape[:ci])
-        stacked = t.reshape(before, t.shape[ci], -1)  # (before, edge, after)
-        mat = stacked.transpose(0, 2, 1).reshape(-1, t.shape[ci])
         try:
-            fac = svd_econ(mat, threshold=RANK_TOL)
+            fac = svd_econ(self._against_child(parent, child), threshold=RANK_TOL)
         except FactorizationError as exc:
             raise FactorizationError(f"node {parent}: {exc}") from exc
         _truncate_factors(fac, policy, self)
-        u = fac.u.reshape(before, -1, fac.k).transpose(0, 2, 1)
-        self.tensors[parent] = u.reshape(t.shape[:ci] + (fac.k,) + t.shape[ci + 1:])
-        remainder = fac.s[:, None] * fac.v_dag  # (k, old child-edge dim)
-        ct = self.tensors[child]
-        merged = ct.reshape(-1, ct.shape[-1]) @ remainder.T
-        self.tensors[child] = merged.reshape(ct.shape[:-1] + (fac.k,))
+        self._absorb_down(parent, child, fac.u, fac.s[:, None] * fac.v_dag)
 
     def _reveal(self, leaves: list[int], policy: TruncationPolicy):
-        """One walk of the orthogonality center from the root through the
-        branches of `leaves` (in postorder) and back to the root.
+        """One walk of the orthogonality center from its node through the
+        branches of `leaves` (in postorder, all below the center) and back.
 
-        `path` is the walk's explicit stack, root to center. For each leaf
-        the center climbs with `_gauge_up` out of the finished subtree to
-        the first node shared with the leaf's branch, then descends with
-        `_split_down`. A segment shared by several branches is thus
-        factorized once each way.
+        `path` is the walk's explicit stack, center to current node. For
+        each leaf the center climbs with `_gauge_up` out of the finished
+        subtree to the first node shared with the leaf's branch, then
+        descends with `_split_down`. A segment shared by several branches is
+        thus factorized once each way.
         """
-        path = [self.tree.postorder[-1]]
+        top, parent = self.center, self.tree.parent
+        path = [top]
         for leaf in leaves:
-            branch = self.tree.ancestors(leaf)[::-1]  # root .. leaf
+            branch = [leaf]
+            while branch[-1] != top:
+                branch.append(parent[branch[-1]])
+            branch.reverse()  # center .. leaf
             shared = 1
             while shared < len(path) and path[shared] == branch[shared]:
                 shared += 1
@@ -258,53 +317,59 @@ class TtnState:
             self._gauge_up(path.pop())
 
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
-        """Re-orthonormalization sweep over `nodes` (every node when None),
-        the same for every policy.
+        """Re-orthonormalization sweep, the same for every policy.
+
+        `nodes` are the nodes to restore: with each node, every node between
+        it and the center must be there too, as for the path nodes that
+        `thread_two_qubit` returns. With None, every node is, and the center
+        first moves to the root.
 
         First a bottom-up pass that only moves the gauge (`_gauge_up`):
-        children before parents (depth-first postorder), each non-root node
-        made an isometry towards its parent, its remainder absorbed into the
-        parent. No rank is searched for there. Then one walk (`_reveal`)
-        moves the orthogonality center down every touched branch and back,
+        children before parents, each node made an isometry towards its
+        parent, its remainder absorbed into the parent, so the center
+        collects it all. No rank is searched for there. Then one walk
+        (`_reveal`) moves the center down every touched branch and back,
         splitting each touched edge by SVD against the state's true Schmidt
         spectrum: exact mode drops only numerically zero values, so every
         edge ends at its Schmidt rank, and a truncating policy cuts there.
-        Edge dimensions never grow; the root is rescaled to unit norm at the
-        end.
+        Edge dimensions never grow; the center is rescaled to unit norm at
+        the end.
         """
-        leaves = []
-        for nid in self.tree.postorder:
-            if self.tree.parent[nid] is None:
-                continue
-            if nodes is not None and nid not in nodes:
-                continue
-            if self.tree.is_leaf(nid):
-                leaves.append(nid)
+        if nodes is None:
+            nodes = self.tree.postorder[:-1]  # every node but the root, children first
+            self.center = self.tree.postorder[-1]
+        else:
+            nodes = sorted(nodes, reverse=True)  # preorder ids: children first
+        for nid in nodes:
             self._gauge_up(nid)
-        self._reveal(leaves, policy)
-        root = self.tree.postorder[-1]
-        nrm = np.linalg.norm(self.tensors[root])
+        self._reveal(sorted(nid for nid in nodes if self.tree.is_leaf(nid)), policy)
+        center = self.center
+        nrm = np.linalg.norm(self.tensors[center])
         if nrm == 0:
             raise FactorizationError("state collapsed to zero norm")
-        self.tensors[root] = self.tensors[root] / nrm
+        self.tensors[center] = self.tensors[center] / nrm
         return self
 
     def canonical_deviation(self) -> float:
-        """Largest deviation of any non-root node from its isometry condition."""
+        """Largest deviation of any non-center node from its isometry
+        condition towards the center."""
+        chain = self.tree.ancestors(self.center)
+        toward = dict(zip(chain[1:], chain))  # center's ancestors: child towards it
         worst = 0.0
-        for nid in range(self.tree.num_nodes):
-            if self.tree.parent[nid] is None:
+        for nid, t in enumerate(self.tensors):
+            if nid == self.center:
                 continue
-            t = self.tensors[nid]
-            mat = t.reshape(-1, t.shape[-1])
+            if nid in toward:
+                mat = self._against_child(nid, toward[nid])
+            else:
+                mat = t.reshape(-1, t.shape[-1])
             gram = mat.conj().T @ mat
-            worst = max(worst, float(np.linalg.norm(gram - np.eye(t.shape[-1]))))
+            worst = max(worst, float(np.linalg.norm(gram - np.eye(mat.shape[1]))))
         return worst
 
     def norm(self) -> float:
-        """Global norm; equals the root norm whenever the state is canonical."""
-        root = self.tree.postorder[-1]
-        return float(np.linalg.norm(self.tensors[root]))
+        """Global norm; equals the center's norm whenever the state is canonical."""
+        return float(np.linalg.norm(self.tensors[self.center]))
 
     # -- read-out -----------------------------------------------------------
 

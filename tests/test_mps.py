@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttnsim import gates
+from ttnsim import gates, ttn
 from ttnsim.circuits import Circuit, gen_treelike
 from ttnsim.errors import MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary, split_gate
@@ -93,10 +93,17 @@ class TestGateApplication:
         state = MpsState.basis_state(6, [0] * 6)
         for g in c.gates:
             state.apply(g)
-        sa, sb = 0, 5
+        sa, sb = 1, 5
         state.thread_two_qubit(Gate("u2", (sa, sb), haar_unitary(4, rng)))
-        # the spine nodes of sites 1..4, each an isometry towards its parent
-        for spine in comb_bond_edges(state.tree)[sa:sb - 1]:
+        # the center moved to site 1's spine node, the turning node; site 0's
+        # spine node (the root) is an isometry onto its edge down to it, and
+        # the spine nodes of sites 2..4 are isometries towards their parents
+        spines = [0] + comb_bond_edges(state.tree)[:-1]
+        assert state.center == spines[sa]
+        root = state.tensors[0]  # (site 0's leaf edge, bond 0, dummy parent axis)
+        mat = root.transpose(0, 2, 1).reshape(-1, root.shape[1])
+        assert np.linalg.norm(mat.conj().T @ mat - np.eye(root.shape[1])) < 1e-10
+        for spine in spines[sa + 1:sb]:
             t = state.tensors[spine]
             mat = t.reshape(-1, t.shape[-1])
             gram = mat.conj().T @ mat
@@ -162,6 +169,32 @@ class TestOrthonormalize:
         state = run_circuit(c, policy=TruncationPolicy(d_max=2))
         assert max(state.bond_dims()) <= 2
         assert state.cap_events > 0
+
+
+class TestLocality:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_brickwork_cost_per_gate_does_not_grow_with_n(self, n, monkeypatch):
+        # a nearest-neighbour gate factorizes only around its two sites; the
+        # center crosses the comb once per layer, between the last gate of
+        # one layer and the first of the next
+        calls = []
+        for name in ("qr_econ", "svd_econ"):
+            def counted(*args, _f=getattr(ttn, name), **kwargs):
+                calls.append(1)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(ttn, name, counted)
+        rng = np.random.default_rng(n)
+        state = MpsState.basis_state(n, [0] * n)
+        per_gate = []
+        for layer in range(6):
+            for j in range(layer % 2, n - 1, 2):
+                before = len(calls)
+                state.apply(Gate("u2", (j, j + 1), haar_unitary(4, rng)))
+                per_gate.append((j == layer % 2, len(calls) - before))
+        assert all(count <= 6 for first, count in per_gate if not first)
+        assert all(count <= 6 + n for first, count in per_gate if first)
+        assert sum(count for _, count in per_gate) <= 6 * len(per_gate)
+        assert max(state.bond_dims()) > 2 and state.canonical_deviation() < 1e-10
 
 
 class TestMetrics:

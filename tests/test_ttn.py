@@ -31,6 +31,16 @@ def random_circuit(rng, n, n_gates, p_single=0.3):
     return c
 
 
+def deviation_towards_center(state, nid):
+    """How far node `nid` is from an isometry onto its axis towards the
+    state's center: its parent axis, or the child axis on the path down."""
+    tree, t = state.tree, state.tensors[nid]
+    chain = tree.ancestors(state.center)
+    axis = tree.child_index(chain[chain.index(nid) - 1]) if nid in chain else t.ndim - 1
+    mat = np.moveaxis(t, axis, -1).reshape(-1, t.shape[axis])
+    return float(np.linalg.norm(mat.conj().T @ mat - np.eye(t.shape[axis])))
+
+
 class TestBasisState:
     def test_state_runs_on_the_given_topology(self):
         topo = perfect_tree(2, 2)
@@ -114,25 +124,27 @@ class TestTwoQubit:
         assert fidelity(state.to_statevector(), sv_simulate(c)) >= 1 - 1e-10
 
     def test_interior_nodes_stay_isometric_during_threading(self):
-        # the split factors distort only the two leaves; every internal node,
-        # turning point included, keeps its isometry before the sweep runs
+        # threading first moves the center to the turning node; the split
+        # factors then distort only the two leaves, so every other internal
+        # node keeps its isometry towards the center, and the center its
+        # unit norm, before the sweep runs
         rng = np.random.default_rng(9)
         c = random_circuit(rng, 8, 25, p_single=0.0)
         topo = perfect_tree(2, 3)
         state = TtnState.basis_state(topo, [0] * 8)
         tree = state.tree
         for g in c.gates:
-            state.thread_two_qubit(g)
+            path = state.thread_two_qubit(g)
+            assert state.center == tree.path_between(*g.qubits)[1]
+            assert tree.parent[path[-1]] == state.center
             worst = 0.0
             for nid in range(tree.num_nodes):
-                if tree.parent[nid] is None or tree.is_leaf(nid):
+                if nid == state.center or tree.is_leaf(nid):
                     continue
-                t = state.tensors[nid]
-                mat = t.reshape(-1, t.shape[-1])
-                gram = mat.conj().T @ mat
-                worst = max(worst, np.linalg.norm(gram - np.eye(t.shape[-1])))
+                worst = max(worst, deviation_towards_center(state, nid))
             assert worst < 1e-10
-            state.orthonormalize(EXACT)
+            assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) < 1e-10
+            state.orthonormalize(EXACT, path)
 
     def test_gate_then_inverse_restores_dimensions(self):
         rng = np.random.default_rng(11)
@@ -152,6 +164,53 @@ class TestTwoQubit:
         state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8, memory_cap=30)
         with pytest.raises(MemoryCapExceeded):
             state.apply_two_qubit(gates.fsim(0.4, 0.9, 0, 7))
+
+
+class TestMixedCanonicalForm:
+    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
+    def test_gate_under_the_center_leaves_the_tree_above_alone(self, policy, monkeypatch):
+        # a second gate with the same turning node neither splits nor gauges
+        # any edge at or above it
+        rng = np.random.default_rng(31)
+        state = run_circuit(random_circuit(rng, 8, 30, p_single=0.0), perfect_tree(2, 3))
+        first = Gate("u2", (0, 3), haar_unitary(4, rng))
+        second = Gate("u2", (1, 2), haar_unitary(4, rng))
+        lca = state.tree.path_between(0, 3)[1]
+        assert state.tree.path_between(1, 2)[1] == lca
+        state.apply_two_qubit(first, policy)
+        assert state.center == lca
+        above = set(state.tree.ancestors(lca))  # edges at or above, by child
+        moves = []
+        for name in ("_split_down", "_gauge_down", "_gauge_up"):
+            def recorded(self, *args, _f=getattr(TtnState, name), _name=name):
+                moves.append((_name, args[1] if _name != "_gauge_up" else args[0]))
+                return _f(self, *args)
+            monkeypatch.setattr(TtnState, name, recorded)
+        state.apply_two_qubit(second, policy)
+        assert moves and not [m for m in moves if m[1] in above]
+        assert not [m for m in moves if m[0] == "_gauge_down"]
+        assert state.center == lca and state.canonical_deviation() < 1e-10
+
+    def test_memory_cap_mid_circuit_leaves_state_canonical(self):
+        rng = np.random.default_rng(37)
+        c = random_circuit(rng, 8, 40, p_single=0.0)
+        topo = perfect_tree(2, 3)
+        state = TtnState.basis_state(topo, [0] * 8, memory_cap=1700)
+        applied = Circuit(8)
+        with pytest.raises(MemoryCapExceeded):
+            for g in c.gates:
+                center, before = state.center, state.to_statevector()
+                state.apply_two_qubit(g)
+                applied.append(g)
+        failed = c.gates[len(applied.gates)]
+        # mid-circuit, and the failing gate needed the center elsewhere
+        assert len(applied.gates) >= 5
+        assert topo.path_between(*failed.qubits)[1] != center
+        vec = state.to_statevector()
+        assert fidelity(vec, before) >= 1 - 1e-10
+        assert fidelity(vec, sv_simulate(applied)) >= 1 - 1e-10
+        assert state.canonical_deviation() <= 1e-10
+        assert abs(state.norm() - 1.0) <= 1e-10
 
 
 class TestOrthonormalize:

@@ -1,8 +1,9 @@
 """Property suite for the TTN sweep: generated trees x generated two-qubit
 circuits x truncation policies, checked against a test-local copy of an earlier
-sweep (an exact upward SVD pass, then one root-to-leaf reveal per leaf that
-needs it), against the dense state's Schmidt ranks and against the dense
-oracle."""
+sweep (an exact upward SVD pass over every ancestor of the gate's leaves, then
+one root-to-leaf reveal per leaf that needs it), against the dense state's
+Schmidt ranks and against the dense oracle. The reference runs on a copy whose
+center the engine first moved to the root, where the earlier sweep kept it."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -80,6 +81,17 @@ def reference_orthonormalize(state, policy, nodes=None):
             reference_reveal_branch(state, leaf, policy)
     root = tree.postorder[-1]
     state.tensors[root] = state.tensors[root] / np.linalg.norm(state.tensors[root])
+    state.center = root
+
+
+def reference_gate(state, g, policy):
+    """The earlier gate: from a root-centered state, thread, then sweep every
+    ancestor of either leaf from the root."""
+    state._move_center(state.tree.postorder[-1])
+    state.thread_two_qubit(g)
+    qa, qb = (state.tree.qubit_node[q] for q in g.qubits)
+    branches = set(state.tree.ancestors(qa)) | set(state.tree.ancestors(qb))
+    reference_orthonormalize(state, policy, branches)
 
 
 def schmidt_values(vec, tree, edge):
@@ -102,11 +114,12 @@ def assert_same_sweep(state, ref, policy):
     bound, so it can keep numerically zero Schmidt values; there a dim may
     fall below the reference's.
 
-    Under truncation, a walk splits an edge above the gate's turning node
-    once, before the branches below it are truncated; when those cuts leave
-    the state a product across that edge, the edge keeps a numerically zero
-    Schmidt value that the reference's second root-to-leaf reveal drops.
-    That is the one difference allowed there.
+    Under truncation, the sweep never splits an edge at or above the gate's
+    turning node, while the reference reveals every touched branch from the
+    root after the branches below were truncated; when those cuts leave the
+    state a product across such an edge, the edge keeps a numerically zero
+    Schmidt value that the reference drops. That is the one difference
+    allowed there.
     """
     assert state.cap_events == ref.cap_events
     assert state.canonical_deviation() <= 1e-10
@@ -172,7 +185,7 @@ class TestSweepProperties:
         for g in circuit.gates:
             ref = state.copy()
             state.apply_two_qubit(g, policy)
-            reference_orthonormalize(ref, policy, ref.thread_two_qubit(g))
+            reference_gate(ref, g, policy)
             assert_same_sweep(state, ref, policy)
         if policy == EXACT:
             assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
@@ -186,7 +199,7 @@ class TestSweepProperties:
         for g in circuit.gates:
             ref = state.copy()
             state.apply_two_qubit(g)
-            reference_orthonormalize(ref, EXACT, ref.thread_two_qubit(g))
+            reference_gate(ref, g, EXACT)
             assert_same_sweep(state, ref, EXACT)
         assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
 
