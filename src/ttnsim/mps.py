@@ -10,8 +10,10 @@ right of it right-canonical. A nearest-neighbour gate moves the center a few
 sites and factorizes only around its two sites, so its cost does not grow
 with the chain. A long-range two-qubit gate threads its bond along the spine,
 multiplying every bond between its sites by k, which is exactly the cost
-model the tree engine is compared against. Sizes are reported per site as an
-MPS stores them: (left bond, physical=2, right bond).
+model the tree engine is compared against; as on any tree, the spine nodes'
+identity connectors are not built but contracted by the sweep that follows.
+Sizes are reported per site as an MPS stores them: (left bond, physical=2,
+right bond).
 """
 
 from .circuits import Circuit

@@ -129,13 +129,18 @@ class TreeTopology:
         qa's leaf (inclusive) to just below the lowest common ancestor, and
         likewise `up_b`; `lca` is the turning-point node.
         """
-        chain_a = self.ancestors(self.qubit_node[qa])
-        chain_b = self.ancestors(self.qubit_node[qb])
-        in_b = set(chain_b)
-        lca = next(nid for nid in chain_a if nid in in_b)
-        up_a = chain_a[: chain_a.index(lca)]
-        up_b = chain_b[: chain_b.index(lca)]
-        return up_a, lca, up_b
+        # climb the deeper side until both meet: O(path), not O(depth)
+        a, b = self.qubit_node[qa], self.qubit_node[qb]
+        parent, depth = self.parent, self.depth
+        up_a, up_b = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up_a.append(a)
+                a = parent[a]
+            else:
+                up_b.append(b)
+                b = parent[b]
+        return up_a, a, up_b
 
     def path_edges(self, qa: int, qb: int) -> list[int]:
         """Edges (as child node ids) the thread between two leaves crosses."""

@@ -11,12 +11,15 @@ A two-qubit gate first carries the center, by gauge-only moves along the
 tree, to its turning node (the lowest common ancestor of its two leaves).
 The gate is then Schmidt-split, its two factors absorbed into the target
 leaves, and its rank-k bond threaded through every node on the tree path
-between them; the identity connectors keep interior nodes isometric (the
-turning node, the center, carries the compensating 1/sqrt(k) and keeps its
-norm), so only the path below the turning node needs re-orthonormalization.
-A gate inside a subtree cannot change the Schmidt spectrum across any edge at
-or above its turning node, and nothing there is touched: on a comb (the MPS)
-a nearest-neighbour gate costs the same at every site.
+between them. The identity connectors that carry the bond (the turning node,
+the center, takes the compensating 1/sqrt(k) and keeps its norm) are never
+built: they are recorded per path edge, and the sweep contracts each child's
+remainder through its connector as it goes into the parent. Interior nodes
+stay isometric, so only the path below the turning node needs
+re-orthonormalization. A gate inside a subtree cannot change the Schmidt
+spectrum across any edge at or above its turning node, and nothing there is
+touched: on a comb (the MPS) a nearest-neighbour gate costs the same at
+every site.
 
 The sweep is the same for every truncation policy: a bottom-up pass that
 only moves the gauge of the path nodes into the center (identity or QR, no
@@ -59,28 +62,6 @@ def _truncate_factors(fac, policy: TruncationPolicy, state) -> None:
         fac.v_dag = fac.v_dag[:keep, :]
 
 
-def _expand_pair(t: np.ndarray, ax1: int, ax2: int, k: int, scale: float = 1.0) -> np.ndarray:
-    """Tensor `t` with an identity connector attached across axes ax1 < ax2.
-
-    Both axes grow by a factor k; the new sub-indices are tied together by a
-    scaled delta. Fusion keeps the existing index major and the new one minor.
-    """
-    nd = t.ndim
-    out = np.multiply.outer(t, scale * np.eye(k, dtype=np.complex128))
-    perm = []
-    for i in range(nd):
-        perm.append(i)
-        if i == ax1:
-            perm.append(nd)
-        if i == ax2:
-            perm.append(nd + 1)
-    out = out.transpose(perm)
-    shape = list(t.shape)
-    shape[ax1] *= k
-    shape[ax2] *= k
-    return np.ascontiguousarray(out).reshape(shape)
-
-
 def _gauge_factors(mat: np.ndarray, nid: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauge-only factorization `mat = iso @ remainder` of node `nid`'s
     matrix, no rank search: with no more rows p than columns q, `iso` is the
@@ -105,6 +86,7 @@ class TtnState:
         self.memory_cap = memory_cap
         self.cap_events = 0
         self.center = 0
+        self.pending: dict[int, tuple[str, int]] = {}  # see thread_two_qubit
 
     # -- construction -------------------------------------------------------
 
@@ -130,6 +112,7 @@ class TtnState:
         clone = type(self)(self.tree, [t.copy() for t in self.tensors], self.memory_cap)
         clone.cap_events = self.cap_events
         clone.center = self.center
+        clone.pending = dict(self.pending)
         return clone
 
     # -- gate application ---------------------------------------------------
@@ -147,16 +130,26 @@ class TtnState:
         thread its bond along the leaf-leaf path.
 
         Leaves absorb the gate factors (the new bond index is fused into
-        each leaf's parent axis); every pass-through node on the path gets an
-        identity connector tying its path-child axis to its parent axis, and
-        the turning node a 1/sqrt(k) connector across its two path-child
-        axes. Interior isometries survive; only the two leaves need
-        re-orthonormalization. Returns the path nodes below the turning node,
-        `up_a + up_b`, each chain from its leaf upwards: the nodes the
-        following sweep must visit.
+        each leaf's parent axis, minor). Interior tensors stay as they are:
+        the bond's identity connectors are recorded, not built, as one
+        `pending` entry per path edge, keyed by its child node: ("pass", k)
+        below a pass-through node, whose connector ties that child axis to
+        its parent axis, and ("turn", k) below the turning node, whose
+        1/sqrt(k) connector ties its two path-child axes. The sweep contracts
+        each child's remainder through its connector (`_absorb_up`), so the
+        k-fold larger connector tensors never exist. Nothing is recorded for
+        k = 1. Until that sweep only `orthonormalize` and `copy` are
+        defined; another thread or `to_statevector` raises ValueError.
+
+        Returns the path nodes below the turning node, `up_a + up_b`, each
+        chain from its leaf upwards: the nodes the following sweep must
+        visit. The memory cap is checked against the materialized
+        expansion, which bounds every tensor the sweep builds.
         """
         if g.num_qubits != 2:
             raise ValueError("expected a two-qubit gate")
+        if self.pending:
+            raise ValueError("a threaded bond is pending: orthonormalize first")
         qa, qb = g.qubits
         g_a, g_b, k = split_gate(g)
         up_a, lca, up_b = self.tree.path_between(qa, qb)
@@ -177,17 +170,11 @@ class TtnState:
             t = np.tensordot(factor, t, axes=(1, 0))  # (2, k, d)
             self.tensors[leaf] = t.transpose(0, 2, 1).reshape(2, -1)
 
-        for chain in (up_a, up_b):
-            for path_child, nid in zip(chain, chain[1:]):
-                t = self.tensors[nid]
-                ci = self.tree.child_index(path_child)
-                self.tensors[nid] = _expand_pair(t, ci, t.ndim - 1, k)
-
-        ca = self.tree.child_index(up_a[-1])
-        cb = self.tree.child_index(up_b[-1])
-        self.tensors[lca] = _expand_pair(
-            self.tensors[lca], min(ca, cb), max(ca, cb), k, scale=1.0 / math.sqrt(k)
-        )
+        if k > 1:
+            for chain in (up_a, up_b):
+                for child in chain[:-1]:
+                    self.pending[child] = ("pass", k)
+                self.pending[chain[-1]] = ("turn", k)
         return up_a + up_b
 
     def apply_two_qubit(self, g: Gate, policy: TruncationPolicy = EXACT):
@@ -215,22 +202,56 @@ class TtnState:
     def _absorb_up(self, nid: int, iso: np.ndarray, remainder: np.ndarray):
         """Set node `nid` to the isometry `iso` (downstream rows by new edge
         columns) and contract `remainder` (new edge by old edge) into its
-        parent, moving the orthogonality center one edge up."""
+        parent, moving the orthogonality center one edge up.
+
+        If a threaded connector is pending on the edge, the remainder's old
+        edge is (d, k), the parent's axis d and the bond index k, and the
+        connector is contracted here instead of being built: the remainder is
+        contracted over d alone and k becomes the minor part of the axis the
+        connector ties this edge to. Below a pass-through node that is the
+        parent's parent axis. Below the turning node it is the other path
+        child's axis, with the 1/sqrt(k), so that child's absorption, whose
+        connector this one settles, is an ordinary one.
+        """
         t = self.tensors[nid]
         self.tensors[nid] = iso.reshape(t.shape[:-1] + (iso.shape[1],))
         parent = self.tree.parent[nid]
         ci = self.tree.child_index(nid)
         pt = self.tensors[parent]
-        # on (before, edge, after) stacks one matmul replaces the edge axis in
-        # place; with after = 1 (the root's last child) that would be one
-        # matrix-vector product per row, so take one matrix product instead
-        stacked = pt.reshape(math.prod(pt.shape[:ci]), pt.shape[ci], -1)
-        if stacked.shape[2] == 1:
-            merged = stacked[:, :, 0] @ remainder.T
+        new = remainder.shape[0]
+        kind, k = self.pending.pop(nid, (None, 1))
+        if kind is None:
+            # on (before, edge, after) stacks one matmul replaces the edge
+            # axis in place; with after = 1 (the root's last child) that would
+            # be one matrix-vector product per row, so take one matrix
+            # product instead
+            stacked = pt.reshape(math.prod(pt.shape[:ci]), pt.shape[ci], -1)
+            if stacked.shape[2] == 1:
+                merged = stacked[:, :, 0] @ remainder.T
+            else:
+                merged = remainder @ stacked
+            self.tensors[parent] = merged.reshape(pt.shape[:ci] + (new,) + pt.shape[ci + 1:])
+            return
+        r = remainder.reshape(new, pt.shape[ci], k)
+        if kind == "pass":
+            tied = pt.ndim - 1
         else:
-            merged = remainder @ stacked
-        new_shape = pt.shape[:ci] + (remainder.shape[0],) + pt.shape[ci + 1:]
-        self.tensors[parent] = merged.reshape(new_shape)
+            sibling = next(c for c in self.tree.children[parent] if c in self.pending)
+            del self.pending[sibling]
+            tied = self.tree.child_index(sibling)
+            r = r / math.sqrt(k)
+        # one matrix product: the parent's other axes, then (new, k); then
+        # new goes to axis ci and k right behind axis `tied`
+        merged = np.tensordot(pt, r, axes=(ci, 1))
+        perm = []
+        for axis in range(pt.ndim):
+            perm.append(pt.ndim - 1 if axis == ci else axis - (axis > ci))
+            if axis == tied:
+                perm.append(pt.ndim)
+        shape = list(pt.shape)
+        shape[ci] = new
+        shape[tied] *= k
+        self.tensors[parent] = merged.transpose(perm).reshape(shape)
 
     def _absorb_down(self, parent: int, child: int, iso: np.ndarray, remainder: np.ndarray):
         """Set `parent` to the isometry `iso` (its `_against_child` rows by
@@ -321,25 +342,30 @@ class TtnState:
 
         `nodes` are the nodes to restore: with each node, every node between
         it and the center must be there too, as for the path nodes that
-        `thread_two_qubit` returns. With None, every node is, and the center
-        first moves to the root.
+        `thread_two_qubit` returns, and every edge with a pending connector
+        must be there (ValueError otherwise). With None, every node is, and
+        the center first moves to the root.
 
         First a bottom-up pass that only moves the gauge (`_gauge_up`):
         children before parents, each node made an isometry towards its
         parent, its remainder absorbed into the parent, so the center
-        collects it all. No rank is searched for there. Then one walk
-        (`_reveal`) moves the center down every touched branch and back,
-        splitting each touched edge by SVD against the state's true Schmidt
-        spectrum: exact mode drops only numerically zero values, so every
-        edge ends at its Schmidt rank, and a truncating policy cuts there.
-        Edge dimensions never grow; the center is rescaled to unit norm at
-        the end.
+        collects it all. Pending connectors are contracted there, each when
+        its child's remainder goes into the parent, so every path child is
+        gauged before its parent. No rank is searched for there. Then one
+        walk (`_reveal`) moves the center down every touched branch and
+        back, splitting each touched edge by SVD against the state's true
+        Schmidt spectrum: exact mode drops only numerically zero values, so
+        every edge ends at its Schmidt rank, and a truncating policy cuts
+        there. No edge ends above its threaded dimension; the center is
+        rescaled to unit norm at the end.
         """
         if nodes is None:
             nodes = self.tree.postorder[:-1]  # every node but the root, children first
             self.center = self.tree.postorder[-1]
         else:
             nodes = sorted(nodes, reverse=True)  # preorder ids: children first
+            if self.pending and not self.pending.keys() <= set(nodes):
+                raise ValueError("the sweep must visit every edge with a pending connector")
         for nid in nodes:
             self._gauge_up(nid)
         self._reveal(sorted(nid for nid in nodes if self.tree.is_leaf(nid)), policy)
@@ -378,6 +404,8 @@ class TtnState:
         n = self.tree.num_qubits
         if n > qubit_cap:
             raise ValueError(f"{n} qubits exceeds the contraction cap of {qubit_cap}")
+        if self.pending:
+            raise ValueError("a threaded bond is pending: orthonormalize first")
 
         # postorder: every child's (tensor, qubit order) is ready before its
         # parent contracts it; a loop, not recursion, as combs are deep

@@ -49,6 +49,15 @@ def reference_tree_dims(circuit, tree, cap=None):
     return dims, clamps
 
 
+def reference_path_between(tree, qa, qb):
+    """The path between two leaves from their full ancestor chains."""
+    chain_a = tree.ancestors(tree.qubit_node[qa])
+    chain_b = tree.ancestors(tree.qubit_node[qb])
+    in_b = set(chain_b)
+    lca = next(nid for nid in chain_a if nid in in_b)
+    return chain_a[:chain_a.index(lca)], lca, chain_b[:chain_b.index(lca)]
+
+
 def reference_chain_bonds(circuit, order):
     """The chain rule that counts every site as physical dimension 2."""
     n = circuit.num_qubits
@@ -137,3 +146,17 @@ class TestDryRunProperties:
         engine = mps_run_circuit(circuit, order=order).bond_dims()
         chain = reference_chain_bonds(circuit, order)
         assert all(e <= b <= c for e, b, c in zip(engine, bonds, chain))
+
+    @settings(max_examples=100)
+    @given(trees_and_circuits())
+    def test_path_between_matches_ancestor_chains(self, case):
+        _, topo = case
+        for qa in range(topo.num_qubits):
+            for qb in range(topo.num_qubits):
+                assert topo.path_between(qa, qb) == reference_path_between(topo, qa, qb)
+
+    def test_deep_comb_paths_match_ancestor_chains(self):
+        n = 3000
+        topo = comb_topology(range(n))
+        for qa, qb in [(0, 1), (n - 2, n - 1), (0, n - 1), (n - 1, 17), (1500, 1501), (5, 5)]:
+            assert topo.path_between(qa, qb) == reference_path_between(topo, qa, qb)

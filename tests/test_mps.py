@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from connectors import expand_pair
 from hypothesis import strategies as st
 
 from ttnsim import gates, ttn
@@ -14,7 +15,6 @@ from ttnsim.statevector import fidelity, sv_simulate
 from ttnsim.tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
 from ttnsim.topology import comb_bond_edges
 from ttnsim.treesearch import find_tree_structure
-from ttnsim.ttn import _expand_pair
 from ttnsim.ttn import run_circuit as ttn_run_circuit
 
 
@@ -76,13 +76,15 @@ class TestGateApplication:
     def test_long_range_gate_threads_through_middle(self):
         state = MpsState.basis_state(3, [0, 0, 0])
         state.apply_single_qubit(gates.h(0))
-        state.thread_two_qubit(gates.cnot(0, 2))
-        # before the sweep the middle site's spine node carries the k=2 bond
-        # on both sides: (site 1's leaf edge, bond 1, bond 0)
+        path = state.thread_two_qubit(gates.cnot(0, 2))
+        # the bond is threaded through the middle site's spine node: once
+        # swept, it carries bond 1 and bond 0 at the cnot's rank 2 and site
+        # 1's leaf edge stays a product, (site 1's leaf edge, bond 1, bond 0)
         spine = comb_bond_edges(state.tree)[0]
+        assert spine in path and state.center == 0
+        state.orthonormalize(EXACT, nodes=path)
         assert state.tensors[spine].shape == (1, 2, 2)
         assert state.bond_dims() == [2, 2]
-        state.orthonormalize(EXACT)
         vec = state.to_statevector()
         root2 = 1 / np.sqrt(2)
         assert np.allclose(vec, [root2, 0, 0, 0, 0, root2, 0, 0], atol=1e-12)
@@ -253,7 +255,7 @@ class ReferenceMps:
         right = np.tensordot(g_b, self.sites[sb], axes=(1, 1))
         self.sites[sb] = right.transpose(2, 1, 0, 3).reshape(-1, 2, right.shape[3])
         for j in range(sa + 1, sb):
-            self.sites[j] = _expand_pair(self.sites[j], 0, 2, k)
+            self.sites[j] = expand_pair(self.sites[j], 0, 2, k)
         self.sweep()
 
     def sweep(self):

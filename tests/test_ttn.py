@@ -146,6 +146,27 @@ class TestTwoQubit:
             assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) < 1e-10
             state.orthonormalize(EXACT, path)
 
+    def test_only_the_sweep_and_copy_follow_threading(self):
+        # between threading and its sweep the connectors are pending: the
+        # tensors alone do not hold the state
+        state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8)
+        state.apply_single_qubit(gates.h(0))
+        path = state.thread_two_qubit(gates.cnot(0, 7))
+        with pytest.raises(ValueError):
+            state.thread_two_qubit(gates.cnot(1, 2))
+        with pytest.raises(ValueError):
+            state.to_statevector()
+        with pytest.raises(ValueError):
+            state.orthonormalize(EXACT, nodes=path[:1])
+        clone = state.copy()
+        state.orthonormalize(EXACT, nodes=path)
+        clone.orthonormalize(EXACT)
+        bell = np.zeros(256)
+        bell[0b00000000] = bell[0b10000001] = 1 / np.sqrt(2)
+        for swept in (state, clone):
+            assert np.allclose(swept.to_statevector(), bell, atol=1e-12)
+            assert swept.canonical_deviation() < 1e-10
+
     def test_gate_then_inverse_restores_dimensions(self):
         rng = np.random.default_rng(11)
         topo = perfect_tree(2, 3)
