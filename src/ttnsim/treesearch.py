@@ -6,10 +6,14 @@ tie-breaker that favors sparsely used qubits:
     s(i, j) = #(gates on both i and j) + 1 / (deg(i) + deg(j))
 
 where deg(q) counts the two-qubit gates touching q; pairs with deg(i) +
-deg(j) = 0 score 0. All comparisons between scores are done with exact
-integer fractions so that tie handling never depends on float rounding.
-`cluster` and `create_subtree` each score a qubit pair once: clustering keeps
-a table of pair-score sums between groups and updates it on every merge.
+deg(j) = 0 score 0. All comparisons between scores are exact, so that tie
+handling never depends on float rounding: `create_subtree` compares integer
+fractions, and `cluster` scales every score to an integer over one common
+denominator and compares average linkages by cross-multiplying integers.
+`cluster` and `create_subtree` each score a qubit pair once. Clustering keeps
+a table of integer pair-score sums between groups, updated on every merge,
+and caches each group's best partner, so one merge costs O(n) plus O(n) for
+each group whose cached partner took part in it.
 """
 
 import itertools
@@ -49,49 +53,88 @@ def similarity_matrix(circuit: Circuit) -> SimilarityMatrix:
     return SimilarityMatrix(circuit)
 
 
+def _outranks(x, y) -> bool:
+    """Whether merge candidate x outranks y; each is (sum, size product, a, b).
+
+    A higher average linkage, sum / product, wins; the cross-multiplied
+    integers compare exactly. Equal linkage goes to the smaller pair (a, b).
+    """
+    lhs, rhs = x[0] * y[1], y[0] * x[1]
+    return lhs > rhs or (lhs == rhs and x[2:] < y[2:])
+
+
 def cluster(sim: SimilarityMatrix, num_clusters: int) -> list[list[int]]:
     """Partition qubits into `num_clusters` groups by agglomerative merging.
 
-    Average-linkage on the similarity scores, merging greedily; no cluster
-    may grow beyond ceil(1.5 * n / num_clusters) members, which keeps the
-    subtrees under the root similar-sized. `sums[i][j]` totals the scores
-    between groups i and j, and their linkage is that total over the product
-    of their sizes. Merging j into i adds row and column j into row and
-    column i, then drops them (the Lance-Williams update for average
-    linkage). Deterministic: sums are exact fractions and ties resolve to
-    the lexicographically smallest pair. Returns the clusters sorted by
-    their smallest member.
+    Average-linkage on the similarity scores, merging greedily the pair with
+    the highest linkage whose merged size stays within
+    cap = ceil(1.5 * n / num_clusters), which keeps the subtrees under the
+    root similar-sized; ties go to the lexicographically smallest pair. A
+    group is named by its smallest member, which no merge changes. When the
+    cap blocks every merge, the two smallest groups join anyway, so a
+    cluster may then exceed the cap.
+
+    Each pair score is scaled to an integer over one common denominator, so
+    `sums[i][k]` is an exact integer total of the scores between groups i
+    and k, and linkages compare by cross-multiplication. Merging j into i
+    adds row j into row i (the Lance-Williams update for average linkage).
+    Each group caches its best feasible partner. After a merge only row i
+    and the rows whose cached partner was i or j are rescanned. Any other
+    row k keeps its cache: its other linkages and sizes are unchanged, and
+    its new linkage to i is the size-weighted mean of its old linkages to i
+    and j, neither of which outranked the cached partner (or the merged
+    group is too big for k). One merge thus costs O(n) plus O(n) per
+    rescanned row, instead of a scan over every pair. Returns the clusters
+    sorted by their smallest member.
     """
     n = sim.n
     if not 1 <= num_clusters <= n:
         raise ValueError(f"cluster count must be in [1, {n}], got {num_clusters}")
     cap = math.ceil(1.5 * n / num_clusters)
-    groups = [[q] for q in range(n)]
-    sums = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        sums[i][j] = sums[j][i] = sim.exact(i, j)
+    scores = {pair: sim.exact(*pair) for pair in itertools.combinations(range(n), 2)}
+    scale = math.lcm(*(s.denominator for s in scores.values()))
+    sums: dict[int, dict[int, int]] = {q: {} for q in range(n)}
+    for (i, j), s in scores.items():
+        sums[i][j] = sums[j][i] = s.numerator * (scale // s.denominator)
+    groups = {q: [q] for q in range(n)}
+    best: dict[int, tuple | None] = {}  # group -> (sum, size product, a, b) or None
 
+    def rescan(i):
+        # the _outranks order, inlined: within row i the smaller pair is the smaller k
+        top_s, top_p, top_k = 0, 1, None
+        size_i = len(groups[i])
+        for k, s in sums[i].items():
+            size_k = len(groups[k])
+            if size_i + size_k > cap:
+                continue
+            lhs, rhs = s * top_p, top_s * size_i * size_k
+            if top_k is None or lhs > rhs or (lhs == rhs and k < top_k):
+                top_s, top_p, top_k = s, size_i * size_k, k
+        best[i] = None if top_k is None else (top_s, top_p, min(i, top_k), max(i, top_k))
+
+    for q in groups:
+        rescan(q)
     while len(groups) > num_clusters:
-        best = None
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                a, b = groups[i], groups[j]
-                if len(a) + len(b) > cap:
-                    continue
-                key = (sums[i][j] / (len(a) * len(b)), -a[0], -b[0])
-                if best is None or key > best[0]:
-                    best = (key, i, j)
-        if best is None:
-            # Size cap blocks every merge (possible with pathological sizes);
-            # fall back to joining the two smallest groups.
-            order = sorted(range(len(groups)), key=lambda i: (len(groups[i]), groups[i][0]))
-            best = (None, min(order[:2]), max(order[:2]))
-        _, i, j = best
+        top = None
+        for c in best.values():
+            if c is not None and (top is None or _outranks(c, top)):
+                top = c
+        if top is None:
+            # The size cap blocks every merge; join the two smallest groups.
+            i, j = sorted(sorted(groups, key=lambda g: (len(groups[g]), g))[:2])
+        else:
+            i, j = top[2:]
         groups[i] = sorted(groups[i] + groups.pop(j))
-        for row in sums:
-            row[i] += row.pop(j)
-        sums[i] = [x + y for x, y in zip(sums[i], sums.pop(j))]
-    return sorted(groups, key=lambda g: g[0])
+        row_i, row_j = sums[i], sums.pop(j)
+        del row_i[j], row_j[i], best[j]
+        for k, s in row_j.items():
+            row_i[k] += s
+            sums[k][i] = row_i[k]
+            del sums[k][j]
+        for k, cached in best.items():
+            if cached is not None and (i in cached[2:] or j in cached[2:]):  # row i's too
+                rescan(k)
+    return [groups[g] for g in sorted(groups)]
 
 
 def create_subtree(qubits, sim: SimilarityMatrix):

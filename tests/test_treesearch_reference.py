@@ -1,8 +1,12 @@
-"""The planner against a reference copy of the earlier one, which re-summed
-every average linkage from single pair scores at each merge and scored each
-pair twice in `create_subtree`. Both must give the same groups and the same
-plan file, byte for byte."""
+"""The planner against reference copies of earlier ones. `reference_cluster`
+re-sums every average linkage from single pair scores at each merge, and
+`reference_subtree` scores each pair twice. `full_scan_cluster` keeps exact
+linkage sums but rescans every pair of groups at each merge; it is fast
+enough to check the best-partner cache at 64-100 qubits. All must give the
+same groups and the same plan file, byte for byte."""
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +20,7 @@ from ttnsim.circuits import Circuit, gen_lattice
 from ttnsim.dryrun import gen_triangle_pattern
 from ttnsim.gates import Gate, haar_unitary
 from ttnsim.topology import TreeTopology, dumps_topology, node
-from ttnsim.treesearch import cluster, find_tree_structure, similarity_matrix
+from ttnsim.treesearch import cluster, default_cluster_count, find_tree_structure, similarity_matrix
 
 
 def reference_cluster(sim, num_clusters):
@@ -46,6 +50,35 @@ def reference_cluster(sim, num_clusters):
         _, i, j = best
         groups[i] = sorted(groups[i] + groups[j])
         del groups[j]
+    return sorted(groups, key=lambda g: g[0])
+
+
+def full_scan_cluster(sim, num_clusters):
+    n = sim.n
+    cap = math.ceil(1.5 * n / num_clusters)
+    groups = [[q] for q in range(n)]
+    sums = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        sums[i][j] = sums[j][i] = sim.exact(i, j)
+
+    while len(groups) > num_clusters:
+        best = None
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                a, b = groups[i], groups[j]
+                if len(a) + len(b) > cap:
+                    continue
+                key = (sums[i][j] / (len(a) * len(b)), -a[0], -b[0])
+                if best is None or key > best[0]:
+                    best = (key, i, j)
+        if best is None:
+            order = sorted(range(len(groups)), key=lambda i: (len(groups[i]), groups[i][0]))
+            best = (None, min(order[:2]), max(order[:2]))
+        _, i, j = best
+        groups[i] = sorted(groups[i] + groups.pop(j))
+        for row in sums:
+            row[i] += row.pop(j)
+        sums[i] = [x + y for x, y in zip(sums[i], sums.pop(j))]
     return sorted(groups, key=lambda g: g[0])
 
 
@@ -129,3 +162,50 @@ def test_lattices_plan_as_reference(side, seed):
 def test_triangles_plan_as_reference(levels):
     circuit, _ = gen_triangle_pattern(levels, 64)
     assert_plans_match_reference(circuit)
+
+
+def dense_blocks():
+    """60 qubits in five blocks of 6 and six of 5, each pair in a block joined
+    by two `cz` gates."""
+    c = Circuit(60)
+    start = 0
+    for size in [6] * 5 + [5] * 6:
+        for qa, qb in itertools.combinations(range(start, start + size), 2):
+            c.append(gates.cz(qa, qb))
+            c.append(gates.cz(qa, qb))
+        start += size
+    return c
+
+
+def test_cap_fallback_plans_as_reference():
+    # At 10 clusters the cap is 9, yet the eleven blocks cannot shrink to ten
+    # without one merge past it: only the fallback can make the 10-member group
+    sim = similarity_matrix(dense_blocks())
+    groups = cluster(sim, 10)
+    assert sorted(map(len, groups)) == [5] * 4 + [6] * 5 + [10]
+    assert groups == reference_cluster(sim, 10) == full_scan_cluster(sim, 10)
+
+
+LARGE = {"triangle81": lambda: gen_triangle_pattern(3, 64)[0],
+         "lattice8x8": lambda: gen_lattice(8, 8, 1),
+         "lattice10x10": lambda: gen_lattice(10, 8, 1)}
+
+
+@pytest.mark.parametrize("name", LARGE)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_large_circuits_cluster_as_full_scan(name, offset):
+    # the reference tests above stop at 36 qubits; each case here rescans
+    # 149-293 rows whose cached partner merged away
+    circuit = LARGE[name]()
+    sim = similarity_matrix(circuit)
+    k = default_cluster_count(circuit.num_qubits) + offset
+    assert cluster(sim, k) == full_scan_cluster(sim, k)
+
+
+def test_243_qubit_triangle_plan_is_pinned():
+    # digest of the plan made by the planner that rescanned every pair of
+    # groups at each merge (full_scan_cluster); too slow to run here
+    circuit, _ = gen_triangle_pattern(4, 64)
+    text = dumps_topology(find_tree_structure(circuit, default_cluster_count(circuit.num_qubits)))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c4a59ad88595d88699bb53a70ebbfea2dbc207ddefa2a7269db4b500ba91d335"
