@@ -23,10 +23,11 @@ every site.
 
 The sweep is the same for every truncation policy: a bottom-up pass that
 only moves the gauge of the path nodes into the center (identity or QR, no
-rank search), then one walk of the center down the path and back that SVDs
-every path edge against the state's true Schmidt spectrum. Exact mode keeps
-each edge at its Schmidt rank there, and a truncating policy cuts there. The
-whole-tree sweep does the same from the root over every edge.
+rank search), then the reveal: the center walks to each touched leaf in
+turn and back, and each edge it descends is split by SVD against the
+state's true Schmidt spectrum. Exact mode keeps each edge at its Schmidt
+rank there, and a truncating policy cuts there. The whole-tree sweep does
+the same from the root over every edge.
 """
 
 import math
@@ -53,7 +54,7 @@ def _truncate_factors(fac, policy: TruncationPolicy, state) -> None:
     if policy.sigma_rel > 0:
         floor = policy.sigma_rel * float(np.linalg.norm(fac.s))
         keep = max(1, int(np.count_nonzero(fac.s >= floor)))
-    if policy.d_max is not None and min(keep, fac.k) > policy.d_max:
+    if policy.d_max is not None and keep > policy.d_max:
         state.cap_events += 1
         keep = policy.d_max
     if keep < fac.k:
@@ -279,10 +280,11 @@ class TtnState:
         mat = self._against_child(parent, child)
         self._absorb_down(parent, child, *_gauge_factors(mat, parent))
 
-    def _move_center(self, target: int):
+    def _move_center(self, target: int, policy: TruncationPolicy | None = None):
         """Carry the orthogonality center to `target` along the tree path:
         `_gauge_up` while it climbs to the lowest common ancestor of the two,
-        `_gauge_down` while it descends. Edge dimensions never grow."""
+        then `_gauge_down` while it descends, or `_split_down` under
+        `policy` (the sweep's reveal). Edge dimensions never grow."""
         parent, depth = self.tree.parent, self.tree.depth
         node, goal, down = self.center, target, []
         while node != target:
@@ -293,7 +295,10 @@ class TtnState:
                 down.append(target)
                 target = parent[target]
         for child in reversed(down):
-            self._gauge_down(parent[child], child)
+            if policy is None:
+                self._gauge_down(parent[child], child)
+            else:
+                self._split_down(parent[child], child, policy)
         self.center = goal
 
     def _split_down(self, parent: int, child: int, policy: TruncationPolicy):
@@ -309,34 +314,6 @@ class TtnState:
         _truncate_factors(fac, policy, self)
         self._absorb_down(parent, child, fac.u, fac.s[:, None] * fac.v_dag)
 
-    def _reveal(self, leaves: list[int], policy: TruncationPolicy):
-        """One walk of the orthogonality center from its node through the
-        branches of `leaves` (in postorder, all below the center) and back.
-
-        `path` is the walk's explicit stack, center to current node. For
-        each leaf the center climbs with `_gauge_up` out of the finished
-        subtree to the first node shared with the leaf's branch, then
-        descends with `_split_down`. A segment shared by several branches is
-        thus factorized once each way.
-        """
-        top, parent = self.center, self.tree.parent
-        path = [top]
-        for leaf in leaves:
-            branch = [leaf]
-            while branch[-1] != top:
-                branch.append(parent[branch[-1]])
-            branch.reverse()  # center .. leaf
-            shared = 1
-            while shared < len(path) and path[shared] == branch[shared]:
-                shared += 1
-            while len(path) > shared:
-                self._gauge_up(path.pop())
-            for child in branch[shared:]:
-                self._split_down(path[-1], child, policy)
-                path.append(child)
-        while len(path) > 1:
-            self._gauge_up(path.pop())
-
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
         """Re-orthonormalization sweep, the same for every policy.
 
@@ -351,13 +328,15 @@ class TtnState:
         parent, its remainder absorbed into the parent, so the center
         collects it all. Pending connectors are contracted there, each when
         its child's remainder goes into the parent, so every path child is
-        gauged before its parent. No rank is searched for there. Then one
-        walk (`_reveal`) moves the center down every touched branch and
-        back, splitting each touched edge by SVD against the state's true
-        Schmidt spectrum: exact mode drops only numerically zero values, so
-        every edge ends at its Schmidt rank, and a truncating policy cuts
-        there. No edge ends above its threaded dimension; the center is
-        rescaled to unit norm at the end.
+        gauged before its parent. No rank is searched for there. Then the
+        reveal: `_move_center` under the policy to each touched leaf, in
+        ascending (preorder) id order, and back. Consecutive walks meet at
+        the leaves' lowest common ancestor, so each touched edge is split
+        once, by SVD against the state's true Schmidt spectrum: exact mode
+        drops only numerically zero values, so every edge ends at its
+        Schmidt rank, and a truncating policy cuts there. No edge ends above
+        its threaded dimension; the center is rescaled to unit norm at the
+        end.
         """
         if nodes is None:
             nodes = self.tree.postorder[:-1]  # every node but the root, children first
@@ -368,8 +347,10 @@ class TtnState:
                 raise ValueError("the sweep must visit every edge with a pending connector")
         for nid in nodes:
             self._gauge_up(nid)
-        self._reveal(sorted(nid for nid in nodes if self.tree.is_leaf(nid)), policy)
         center = self.center
+        for leaf in sorted(nid for nid in nodes if self.tree.is_leaf(nid)):
+            self._move_center(leaf, policy)
+        self._move_center(center)
         nrm = np.linalg.norm(self.tensors[center])
         if nrm == 0:
             raise FactorizationError("state collapsed to zero norm")

@@ -212,6 +212,37 @@ class TestMixedCanonicalForm:
         assert not [m for m in moves if m[0] == "_gauge_down"]
         assert state.center == lca and state.canonical_deviation() < 1e-10
 
+    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
+    @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
+    def test_sweep_splits_each_path_edge_once(self, shape, policy, monkeypatch):
+        # the reveal walks the center to each touched leaf and back: every
+        # edge on the gate's path is split exactly once, and no other edge
+        split = []
+
+        def recorded(self, parent, child, *rest, _f=TtnState._split_down):
+            split.append(child)
+            return _f(self, parent, child, *rest)
+
+        monkeypatch.setattr(TtnState, "_split_down", recorded)
+        for seed in range(3):
+            rng = np.random.default_rng([43, seed])
+            if shape == "perfect":
+                topo = perfect_tree(*[(2, 3), (3, 2), (2, 2)][seed])
+                c = random_circuit(rng, topo.num_qubits, 40)
+            else:
+                c = random_circuit(rng, int(rng.integers(5, 11)), 40)
+                topo = (comb_topology(rng.permutation(c.num_qubits).tolist()) if shape == "comb"
+                        else find_tree_structure(c, int(rng.integers(1, c.num_qubits + 1))))
+            state = TtnState.basis_state(topo, [0] * c.num_qubits)
+            for g in c.gates:
+                if g.num_qubits == 1:
+                    state.apply_single_qubit(g)
+                    continue
+                split.clear()
+                path = state.thread_two_qubit(g)
+                state.orthonormalize(policy, nodes=path)
+                assert sorted(split) == sorted(path)
+
     def test_memory_cap_mid_circuit_leaves_state_canonical(self):
         rng = np.random.default_rng(37)
         c = random_circuit(rng, 8, 40, p_single=0.0)
@@ -298,6 +329,10 @@ class TestOrthonormalize:
         policy = TruncationPolicy(sigma_rel=1e-8)
         for qa, qb in ((0, n - 1), (1, n - 2), (0, n // 2)):
             state.apply_two_qubit(Gate("u2", (qa, qb), haar_unitary(4, rng)), policy)
+        assert state.canonical_deviation() <= 1e-10
+        assert abs(state.norm() - 1.0) < 1e-10
+        state.orthonormalize(policy)  # the whole-tree sweep walks the comb too
+        assert state.center == 0
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
 
