@@ -36,6 +36,8 @@ class Gate:
         dim = 2**n
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"{n}-qubit gate needs a {dim}x{dim} matrix, got {self.matrix.shape}")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("matrix entries must be finite")  # NaN fails every comparison
         dev = np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(dim))
         if dev > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")

@@ -11,7 +11,7 @@ sites and factorizes only around its two sites, so its cost does not grow
 with the chain. A long-range two-qubit gate threads its bond along the spine,
 multiplying every bond between its sites by k, which is exactly the cost
 model the tree engine is compared against; as on any tree, the spine nodes'
-identity connectors are not built but contracted by the sweep that follows.
+identity connectors are not built but contracted as the bond is threaded.
 Sizes are reported per site as an MPS stores them: (left bond, physical=2,
 right bond).
 """

@@ -13,21 +13,20 @@ The gate is then Schmidt-split, its two factors absorbed into the target
 leaves, and its rank-k bond threaded through every node on the tree path
 between them. The identity connectors that carry the bond (the turning node,
 the center, takes the compensating 1/sqrt(k) and keeps its norm) are never
-built: they are recorded per path edge, and the sweep contracts each child's
-remainder through its connector as it goes into the parent. Interior nodes
-stay isometric, so only the path below the turning node needs
-re-orthonormalization. A gate inside a subtree cannot change the Schmidt
-spectrum across any edge at or above its turning node, and nothing there is
-touched: on a comb (the MPS) a nearest-neighbour gate costs the same at
-every site.
+built: threading gauges the path below the turning node into the center,
+children first, and contracts each child's remainder through its connector
+as it goes into the parent. So every public method leaves the state
+canonical, and only the path below the turning node needs its edges
+re-split. A gate inside a subtree cannot change the Schmidt spectrum across
+any edge at or above its turning node, and nothing there is touched: on a
+comb (the MPS) a nearest-neighbour gate costs the same at every site.
 
-The sweep is the same for every truncation policy: a bottom-up pass that
-only moves the gauge of the path nodes into the center (identity or QR, no
-rank search), then the reveal: the center walks to each touched leaf in
-turn and back, and each edge it descends is split by SVD against the
-state's true Schmidt spectrum. Exact mode keeps each edge at its Schmidt
-rank there, and a truncating policy cuts there. The whole-tree sweep does
-the same from the root over every edge.
+The sweep is the same for every truncation policy, the reveal: the center
+walks to each touched leaf in turn and back, and each edge it descends is
+split by SVD against the state's true Schmidt spectrum. Exact mode keeps
+each edge at its Schmidt rank there, and a truncating policy cuts there.
+The whole-tree sweep walks the center to the root first and reveals every
+leaf.
 """
 
 import math
@@ -87,7 +86,6 @@ class TtnState:
         self.memory_cap = memory_cap
         self.cap_events = 0
         self.center = 0
-        self.pending: dict[int, tuple[str, int]] = {}  # see thread_two_qubit
 
     # -- construction -------------------------------------------------------
 
@@ -113,7 +111,6 @@ class TtnState:
         clone = type(self)(self.tree, [t.copy() for t in self.tensors], self.memory_cap)
         clone.cap_events = self.cap_events
         clone.center = self.center
-        clone.pending = dict(self.pending)
         return clone
 
     # -- gate application ---------------------------------------------------
@@ -131,26 +128,25 @@ class TtnState:
         thread its bond along the leaf-leaf path.
 
         Leaves absorb the gate factors (the new bond index is fused into
-        each leaf's parent axis, minor). Interior tensors stay as they are:
-        the bond's identity connectors are recorded, not built, as one
-        `pending` entry per path edge, keyed by its child node: ("pass", k)
-        below a pass-through node, whose connector ties that child axis to
-        its parent axis, and ("turn", k) below the turning node, whose
-        1/sqrt(k) connector ties its two path-child axes. The sweep contracts
-        each child's remainder through its connector (`_absorb_up`), so the
-        k-fold larger connector tensors never exist. Nothing is recorded for
-        k = 1. Until that sweep only `orthonormalize` and `copy` are
-        defined; another thread or `to_statevector` raises ValueError.
+        each leaf's parent axis, minor). Then the path nodes below the
+        turning node move their gauge into it (`_gauge_up`), children before
+        parents, and each child's remainder is contracted through the bond's
+        identity connector on its edge as it goes into the parent
+        (`_absorb_up`), so the k-fold larger connector tensors never exist.
+        Below a pass-through node the connector ties the child's edge to the
+        parent's parent axis. Below the turning node it ties the two path
+        children's axes with the 1/sqrt(k): the first child absorbed carries
+        it, and the second one's absorption is an ordinary one. The state is
+        canonical around the turning node again, with the path edges not
+        yet split to their Schmidt ranks.
 
         Returns the path nodes below the turning node, `up_a + up_b`, each
-        chain from its leaf upwards: the nodes the following sweep must
-        visit. The memory cap is checked against the materialized
-        expansion, which bounds every tensor the sweep builds.
+        chain from its leaf upwards: the following sweep reveals their
+        leaves. The memory cap is checked against the materialized
+        expansion, which bounds every tensor threading and the sweep build.
         """
         if g.num_qubits != 2:
             raise ValueError("expected a two-qubit gate")
-        if self.pending:
-            raise ValueError("a threaded bond is pending: orthonormalize first")
         qa, qb = g.qubits
         g_a, g_b, k = split_gate(g)
         up_a, lca, up_b = self.tree.path_between(qa, qb)
@@ -171,16 +167,20 @@ class TtnState:
             t = np.tensordot(factor, t, axes=(1, 0))  # (2, k, d)
             self.tensors[leaf] = t.transpose(0, 2, 1).reshape(2, -1)
 
-        if k > 1:
-            for chain in (up_a, up_b):
-                for child in chain[:-1]:
-                    self.pending[child] = ("pass", k)
-                self.pending[chain[-1]] = ("turn", k)
+        second, first = sorted((up_a[-1], up_b[-1]))
+        for nid in sorted(up_a + up_b, reverse=True):  # preorder ids: children first
+            if k == 1 or nid == second:
+                tie = None
+            elif nid == first:
+                tie = (self.tree.child_index(second), k)
+            else:
+                tie = (len(self.tree.children[self.tree.parent[nid]]), k)  # parent axis
+            self._gauge_up(nid, tie)
         return up_a + up_b
 
     def apply_two_qubit(self, g: Gate, policy: TruncationPolicy = EXACT):
-        """Two-qubit gate: thread, then restore canonical form on the path
-        below the turning node under the given truncation policy."""
+        """Two-qubit gate: thread, then split the path edges below the
+        turning node under the given truncation policy (the reveal)."""
         path = self.thread_two_qubit(g)
         self.orthonormalize(policy, nodes=path)
         return self
@@ -200,19 +200,18 @@ class TtnState:
         stacked = t.reshape(math.prod(t.shape[:ci]), t.shape[ci], -1)  # (before, edge, after)
         return stacked.transpose(0, 2, 1).reshape(-1, t.shape[ci])
 
-    def _absorb_up(self, nid: int, iso: np.ndarray, remainder: np.ndarray):
+    def _absorb_up(self, nid: int, iso: np.ndarray, remainder: np.ndarray, tie=None):
         """Set node `nid` to the isometry `iso` (downstream rows by new edge
         columns) and contract `remainder` (new edge by old edge) into its
         parent, moving the orthogonality center one edge up.
 
-        If a threaded connector is pending on the edge, the remainder's old
-        edge is (d, k), the parent's axis d and the bond index k, and the
-        connector is contracted here instead of being built: the remainder is
-        contracted over d alone and k becomes the minor part of the axis the
-        connector ties this edge to. Below a pass-through node that is the
-        parent's parent axis. Below the turning node it is the other path
-        child's axis, with the 1/sqrt(k), so that child's absorption, whose
-        connector this one settles, is an ordinary one.
+        With `tie = (axis, k)` the edge carries a threaded bond's identity
+        connector, contracted here instead of being built: the remainder's
+        old edge is (d, k), the parent's axis d and the bond index k, the
+        remainder is contracted over d alone, and k becomes the minor part
+        of the parent's `axis`. That is its parent axis below a pass-through
+        node; below the turning node it is the other path child's axis, and
+        a tie to any axis but the parent's carries the 1/sqrt(k).
         """
         t = self.tensors[nid]
         self.tensors[nid] = iso.reshape(t.shape[:-1] + (iso.shape[1],))
@@ -220,8 +219,7 @@ class TtnState:
         ci = self.tree.child_index(nid)
         pt = self.tensors[parent]
         new = remainder.shape[0]
-        kind, k = self.pending.pop(nid, (None, 1))
-        if kind is None:
+        if tie is None:
             # on (before, edge, after) stacks one matmul replaces the edge
             # axis in place; with after = 1 (the root's last child) that would
             # be one matrix-vector product per row, so take one matrix
@@ -233,13 +231,9 @@ class TtnState:
                 merged = remainder @ stacked
             self.tensors[parent] = merged.reshape(pt.shape[:ci] + (new,) + pt.shape[ci + 1:])
             return
+        tied, k = tie
         r = remainder.reshape(new, pt.shape[ci], k)
-        if kind == "pass":
-            tied = pt.ndim - 1
-        else:
-            sibling = next(c for c in self.tree.children[parent] if c in self.pending)
-            del self.pending[sibling]
-            tied = self.tree.child_index(sibling)
+        if tied != pt.ndim - 1:
             r = r / math.sqrt(k)
         # one matrix product: the parent's other axes, then (new, k); then
         # new goes to axis ci and k right behind axis `tied`
@@ -268,11 +262,12 @@ class TtnState:
         merged = ct.reshape(-1, ct.shape[-1]) @ remainder.T
         self.tensors[child] = merged.reshape(ct.shape[:-1] + (k,))
 
-    def _gauge_up(self, nid: int):
+    def _gauge_up(self, nid: int, tie=None):
         """Gauge-only upward move of the center from `nid` into its parent,
-        no rank search (`_gauge_factors`)."""
+        no rank search (`_gauge_factors`), through the connector `tie`
+        (`_absorb_up`)."""
         t = self.tensors[nid]
-        self._absorb_up(nid, *_gauge_factors(t.reshape(-1, t.shape[-1]), nid))
+        self._absorb_up(nid, *_gauge_factors(t.reshape(-1, t.shape[-1]), nid), tie)
 
     def _gauge_down(self, parent: int, child: int):
         """Gauge-only downward move of the center from `parent` into
@@ -315,23 +310,14 @@ class TtnState:
         self._absorb_down(parent, child, fac.u, fac.s[:, None] * fac.v_dag)
 
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
-        """Re-orthonormalization sweep, the same for every policy.
+        """Re-orthonormalization sweep, the same for every policy: the
+        reveal of the leaves among `nodes`, as for the path nodes that
+        `thread_two_qubit` returns. With None, the center first walks to
+        the root (`_move_center`) and every leaf is revealed.
 
-        `nodes` are the nodes to restore: with each node, every node between
-        it and the center must be there too, as for the path nodes that
-        `thread_two_qubit` returns, and every edge with a pending connector
-        must be there (ValueError otherwise). With None, every node is, and
-        the center first moves to the root.
-
-        First a bottom-up pass that only moves the gauge (`_gauge_up`):
-        children before parents, each node made an isometry towards its
-        parent, its remainder absorbed into the parent, so the center
-        collects it all. Pending connectors are contracted there, each when
-        its child's remainder goes into the parent, so every path child is
-        gauged before its parent. No rank is searched for there. Then the
-        reveal: `_move_center` under the policy to each touched leaf, in
+        The center walks under the policy (`_move_center`) to each leaf, in
         ascending (preorder) id order, and back. Consecutive walks meet at
-        the leaves' lowest common ancestor, so each touched edge is split
+        the leaves' lowest common ancestor, so each edge on the way is split
         once, by SVD against the state's true Schmidt spectrum: exact mode
         drops only numerically zero values, so every edge ends at its
         Schmidt rank, and a truncating policy cuts there. No edge ends above
@@ -339,14 +325,8 @@ class TtnState:
         end.
         """
         if nodes is None:
-            nodes = self.tree.postorder[:-1]  # every node but the root, children first
-            self.center = self.tree.postorder[-1]
-        else:
-            nodes = sorted(nodes, reverse=True)  # preorder ids: children first
-            if self.pending and not self.pending.keys() <= set(nodes):
-                raise ValueError("the sweep must visit every edge with a pending connector")
-        for nid in nodes:
-            self._gauge_up(nid)
+            self._move_center(0)
+            nodes = range(self.tree.num_nodes)
         center = self.center
         for leaf in sorted(nid for nid in nodes if self.tree.is_leaf(nid)):
             self._move_center(leaf, policy)
@@ -385,8 +365,6 @@ class TtnState:
         n = self.tree.num_qubits
         if n > qubit_cap:
             raise ValueError(f"{n} qubits exceeds the contraction cap of {qubit_cap}")
-        if self.pending:
-            raise ValueError("a threaded bond is pending: orthonormalize first")
 
         # postorder: every child's (tensor, qubit order) is ready before its
         # parent contracts it; a loop, not recursion, as combs are deep

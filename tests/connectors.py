@@ -1,6 +1,6 @@
 """The identity connector that a threaded bond stands for, built explicitly:
 the reference engines in the tests thread by materializing it, so the
-engine, which only records it for its sweep, is checked against that design."""
+engine, which contracts it as it threads, is checked against that design."""
 
 import numpy as np
 

@@ -303,6 +303,19 @@ class TestMalformedInputsExit2:
         out = ["--out", tmp_path / "t.json"] if command == "plan" else []
         assert run([command, "--circuit", bad, *out]) == 2
 
+    # json reads NaN and Infinity; a gate holding one is not unitary
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", [["simulate", "--engine", "statevector", "--metrics-out"],
+                                         ["plan", "--out"]], ids=["simulate", "plan"])
+    def test_non_finite_matrix(self, tmp_path, lattice4, command, value):
+        text = lattice4.read_text()
+        first = text.index('"matrix":[[') + len('"matrix":[[')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text[:first] + value + text[text.index(",", first):])
+        out = tmp_path / "out.json"
+        assert run([command[0], "--circuit", bad, *command[1:], out]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "dryrun"])
     @pytest.mark.parametrize("text", ['{"children": 5}', '{"leaf": [0]}', "[0, 1]",
                                       '{"children": [{"leaf": 0}, {"leaf": 1.0}, '

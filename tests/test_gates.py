@@ -10,6 +10,14 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="unitary"):
             Gate("bad", (0,), [[1, 0], [0, 2]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("qubits", [(0,), (0, 1)])
+    def test_non_finite_rejected(self, bad, qubits):
+        matrix = np.eye(2 ** len(qubits), dtype=complex)
+        matrix[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Gate("bad", qubits, matrix)
+
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             Gate("bad", (1, 1), np.eye(4))

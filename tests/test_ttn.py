@@ -124,10 +124,10 @@ class TestTwoQubit:
         assert fidelity(state.to_statevector(), sv_simulate(c)) >= 1 - 1e-10
 
     def test_interior_nodes_stay_isometric_during_threading(self):
-        # threading first moves the center to the turning node; the split
-        # factors then distort only the two leaves, so every other internal
-        # node keeps its isometry towards the center, and the center its
-        # unit norm, before the sweep runs
+        # threading first moves the center to the turning node and gauges
+        # the path below it back into the center, so every other node,
+        # leaves included, is an isometry towards the center, and the
+        # center keeps its unit norm, before the sweep runs
         rng = np.random.default_rng(9)
         c = random_circuit(rng, 8, 25, p_single=0.0)
         topo = perfect_tree(2, 3)
@@ -139,33 +139,32 @@ class TestTwoQubit:
             assert tree.parent[path[-1]] == state.center
             worst = 0.0
             for nid in range(tree.num_nodes):
-                if nid == state.center or tree.is_leaf(nid):
+                if nid == state.center:
                     continue
                 worst = max(worst, deviation_towards_center(state, nid))
             assert worst < 1e-10
             assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) < 1e-10
             state.orthonormalize(EXACT, path)
 
-    def test_only_the_sweep_and_copy_follow_threading(self):
-        # between threading and its sweep the connectors are pending: the
-        # tensors alone do not hold the state
+    def test_threading_alone_leaves_the_state_exact_and_canonical(self):
+        # threading contracts the bond's connectors itself: before any sweep
+        # the tensors hold the gated state in canonical form, so read-out,
+        # another gate, a copy and either sweep all see the exact state
         state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8)
         state.apply_single_qubit(gates.h(0))
-        path = state.thread_two_qubit(gates.cnot(0, 7))
-        with pytest.raises(ValueError):
-            state.thread_two_qubit(gates.cnot(1, 2))
-        with pytest.raises(ValueError):
-            state.to_statevector()
-        with pytest.raises(ValueError):
-            state.orthonormalize(EXACT, nodes=path[:1])
-        clone = state.copy()
-        state.orthonormalize(EXACT, nodes=path)
-        clone.orthonormalize(EXACT)
+        state.thread_two_qubit(gates.cnot(0, 7))
         bell = np.zeros(256)
         bell[0b00000000] = bell[0b10000001] = 1 / np.sqrt(2)
-        for swept in (state, clone):
-            assert np.allclose(swept.to_statevector(), bell, atol=1e-12)
-            assert swept.canonical_deviation() < 1e-10
+        assert np.allclose(state.to_statevector(), bell, atol=1e-12)
+        assert state.canonical_deviation() < 1e-10
+        path = state.thread_two_qubit(gates.cnot(1, 2))
+        c = Circuit(8, [gates.h(0), gates.cnot(0, 7), gates.cnot(1, 2)])
+        assert np.allclose(state.to_statevector(), sv_simulate(c), atol=1e-12)
+        swept = [state.copy().orthonormalize(EXACT, nodes=path),
+                 state.copy().orthonormalize(EXACT)]
+        for clone in swept:
+            assert np.allclose(clone.to_statevector(), sv_simulate(c), atol=1e-12)
+            assert clone.canonical_deviation() < 1e-10
 
     def test_gate_then_inverse_restores_dimensions(self):
         rng = np.random.default_rng(11)
@@ -212,11 +211,11 @@ class TestMixedCanonicalForm:
         assert not [m for m in moves if m[0] == "_gauge_down"]
         assert state.center == lca and state.canonical_deviation() < 1e-10
 
-    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
-    @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
-    def test_sweep_splits_each_path_edge_once(self, shape, policy, monkeypatch):
-        # the reveal walks the center to each touched leaf and back: every
-        # edge on the gate's path is split exactly once, and no other edge
+    @staticmethod
+    def threaded_gates(shape, monkeypatch):
+        """Thread each two-qubit gate of three random circuits on trees of
+        `shape`, yielding the state, the path `thread_two_qubit` returned and
+        the edges `_split_down` splits from the start of that gate on."""
         split = []
 
         def recorded(self, parent, child, *rest, _f=TtnState._split_down):
@@ -239,9 +238,27 @@ class TestMixedCanonicalForm:
                     state.apply_single_qubit(g)
                     continue
                 split.clear()
-                path = state.thread_two_qubit(g)
-                state.orthonormalize(policy, nodes=path)
-                assert sorted(split) == sorted(path)
+                yield state, state.thread_two_qubit(g), split
+
+    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
+    @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
+    def test_sweep_splits_each_path_edge_once(self, shape, policy, monkeypatch):
+        # the reveal walks the center to each touched leaf and back: every
+        # edge on the gate's path is split exactly once, and no other edge
+        for state, path, split in self.threaded_gates(shape, monkeypatch):
+            state.orthonormalize(policy, nodes=path)
+            assert sorted(split) == sorted(path)
+
+    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
+    @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
+    def test_whole_tree_sweep_splits_every_edge_once(self, shape, policy, monkeypatch):
+        # the whole-tree sweep walks the center to the root by gauge moves,
+        # then reveals every leaf from there: each edge is split exactly once
+        # and the center ends at the root
+        for state, _, split in self.threaded_gates(shape, monkeypatch):
+            state.orthonormalize(policy)
+            assert sorted(split) == list(range(1, state.tree.num_nodes))
+            assert state.center == 0
 
     def test_memory_cap_mid_circuit_leaves_state_canonical(self):
         rng = np.random.default_rng(37)

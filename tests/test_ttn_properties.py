@@ -3,7 +3,7 @@ circuits x truncation policies, checked against a test-local copy of an earlier
 sweep (an exact upward SVD pass over every ancestor of the gate's leaves, then
 one root-to-leaf reveal per leaf that needs it), against the dense state's
 Schmidt ranks and against the dense oracle. The reference threads with its
-identity connectors built, where the engine contracts them in its sweep, and
+identity connectors built, where the engine contracts them as it threads, and
 runs on a copy whose center the engine first moved to the root, where the
 earlier sweep kept it."""
 
@@ -232,8 +232,8 @@ class PeakState(TtnState):
 
     peak = 0
 
-    def _absorb_up(self, nid, iso, remainder):
-        super()._absorb_up(nid, iso, remainder)
+    def _absorb_up(self, nid, iso, remainder, tie=None):
+        super()._absorb_up(nid, iso, remainder, tie)
         self.peak = max(self.peak, sum(t.size for t in self.tensors))
 
 
@@ -304,8 +304,9 @@ class TestSweepProperties:
     @settings(max_examples=100)
     @given(trees_and_circuits(), st.sampled_from(POLICIES))
     def test_sweep_stays_within_the_priced_memory(self, case, policy):
-        # the cap prices the connectors as if built; the sweep that
-        # contracts them lazily never holds more than that
+        # the cap prices the connectors as if built; threading, which
+        # contracts them as it gauges the path, and the sweep never hold
+        # more than that
         circuit, topo = case
         state = PeakState.basis_state(topo, [0] * circuit.num_qubits)
         for g in circuit.gates:
@@ -316,7 +317,7 @@ class TestSweepProperties:
             with pytest.raises(MemoryCapExceeded):  # the engine's price is this one
                 over.thread_two_qubit(g)
             state.memory_cap = price
-            path = state.thread_two_qubit(g)
             state.peak = 0
+            path = state.thread_two_qubit(g)
             state.orthonormalize(policy, nodes=path)
             assert state.peak <= price
