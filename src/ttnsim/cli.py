@@ -130,6 +130,12 @@ def circuit_digest(circuit: Circuit) -> str:
     return hashlib.sha256(dumps_circuit(circuit).encode("utf-8")).hexdigest()
 
 
+def _write(path, text: str) -> None:
+    """Write `text` and a final newline to `path`."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
+
+
 def _record_csv_row(rec: RunRecord, digest: str) -> str:
     fid = fmt17(rec.fidelity) if rec.fidelity is not None else ""
     return (f"{rec.engine},{digest},{rec.num_qubits},{rec.num_gates},"
@@ -168,12 +174,10 @@ def cmd_simulate(args) -> int:
     rec = _simulate_run(args, circuit)
     doc = json.dumps(asdict(rec), indent=1)
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as f:
-            f.write(doc + "\n")
+        _write(args.metrics_out, doc)
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as f:
-            f.write(SIMULATE_CSV_HEADER + "\n"
-                    + _record_csv_row(rec, circuit_digest(circuit)) + "\n")
+        _write(args.csv_out,
+               SIMULATE_CSV_HEADER + "\n" + _record_csv_row(rec, circuit_digest(circuit)))
     print(doc)
     return 0
 
@@ -189,15 +193,8 @@ def cmd_dryrun(args) -> int:
         report = dryrun(circuit, topo, cap=args.cap)
         verdict = None
         if args.dmax is not None:
-            adm = admissible(circuit, topo, args.dmax)
-            verdict = {
-                "admissible": adm.admissible,
-                "d_max": adm.d_max,
-                "cluster_level": adm.cluster_level,
-                "violations": adm.violations,
-                "edge_limit": adm.edge_limit,
-                "node_limit": adm.node_limit,
-            }
+            adm = asdict(admissible(circuit, topo, args.dmax))
+            verdict = {k: v for k, v in adm.items() if k not in ("arity", "edge_products")}
     doc = {
         "kind": report.kind,
         "d_max_observed": report.d_max_observed,
@@ -209,14 +206,12 @@ def cmd_dryrun(args) -> int:
     }
     text = json.dumps(doc, indent=1)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        _write(args.out, text)
     if args.csv_out:
         rows = [DRYRUN_CSV_HEADER]
         for edge in sorted(report.edge_dims):
             rows.append(f"{edge},{report.edge_levels[edge]},{report.edge_dims[edge]}")
-        with open(args.csv_out, "w", encoding="utf-8") as f:
-            f.write("\n".join(rows) + "\n")
+        _write(args.csv_out, "\n".join(rows))
     print(text)
     return 0
 
@@ -251,8 +246,7 @@ def cmd_compare(args) -> int:
         doc["m_saved"] = 1.0 - metrics_b.m_entries / metrics_a.m_entries
     text = json.dumps(doc, indent=1)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        _write(args.out, text)
     print(text)
     return 0
 

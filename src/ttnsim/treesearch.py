@@ -6,19 +6,18 @@ tie-breaker that favors sparsely used qubits:
     s(i, j) = #(gates on both i and j) + 1 / (deg(i) + deg(j))
 
 where deg(q) counts the two-qubit gates touching q; pairs with deg(i) +
-deg(j) = 0 score 0. All comparisons between scores are exact, so that tie
-handling never depends on float rounding: `create_subtree` compares integer
-fractions, and `cluster` scales every score to an integer over one common
-denominator and compares average linkages by cross-multiplying integers.
-`cluster` and `create_subtree` each score a qubit pair once. Clustering keeps
-a table of integer pair-score sums between groups, updated on every merge,
-and caches each group's best partner, so one merge costs O(n) plus O(n) for
-each group whose cached partner took part in it.
+deg(j) = 0 score 0. A score has one form, an exact integer: s(i, j) times
+`SimilarityMatrix.scale`, the least common multiple of the positive degree
+sums. So tie handling never depends on float rounding: `create_subtree`
+sorts the integers, and `cluster` compares average linkages by
+cross-multiplying integer sums. `cluster` and `create_subtree` each score a
+qubit pair once. Clustering keeps a table of pair-score sums between groups,
+updated on every merge, and caches each group's best partner, so one merge
+costs O(n) plus O(n) for each group whose cached partner took part in it.
 """
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,13 +39,16 @@ class SimilarityMatrix:
             self._shared[qb, qa] += 1
             self._degree[qa] += 1
             self._degree[qb] += 1
+        upper = np.triu_indices(n, 1)
+        degree_sums = np.unique((self._degree[:, None] + self._degree)[upper])
+        self.scale = math.lcm(*(int(d) for d in degree_sums if d > 0))
 
-    def exact(self, i: int, j: int) -> Fraction:
-        """Similarity of a qubit pair as an exact fraction."""
+    def exact(self, i: int, j: int) -> int:
+        """Similarity of a qubit pair times `scale`, an exact integer."""
         den = int(self._degree[i] + self._degree[j])
         if i == j or den == 0:
-            return Fraction(0)
-        return Fraction(int(self._shared[i, j])) + Fraction(1, den)
+            return 0
+        return int(self._shared[i, j]) * self.scale + self.scale // den
 
 
 def similarity_matrix(circuit: Circuit) -> SimilarityMatrix:
@@ -74,28 +76,26 @@ def cluster(sim: SimilarityMatrix, num_clusters: int) -> list[list[int]]:
     cap blocks every merge, the two smallest groups join anyway, so a
     cluster may then exceed the cap.
 
-    Each pair score is scaled to an integer over one common denominator, so
-    `sums[i][k]` is an exact integer total of the scores between groups i
-    and k, and linkages compare by cross-multiplication. Merging j into i
-    adds row j into row i (the Lance-Williams update for average linkage).
-    Each group caches its best feasible partner. After a merge only row i
-    and the rows whose cached partner was i or j are rescanned. Any other
-    row k keeps its cache: its other linkages and sizes are unchanged, and
-    its new linkage to i is the size-weighted mean of its old linkages to i
-    and j, neither of which outranked the cached partner (or the merged
-    group is too big for k). One merge thus costs O(n) plus O(n) per
-    rescanned row, instead of a scan over every pair. Returns the clusters
-    sorted by their smallest member.
+    `sums[i][k]` is the integer total of the pair scores (`sim.exact`)
+    between groups i and k, filled once from one call per qubit pair, and
+    linkages compare by cross-multiplication. Merging j into i adds row j
+    into row i (the Lance-Williams update for average linkage). Each group
+    caches its best feasible partner. After a merge only row i and the rows
+    whose cached partner was i or j are rescanned. Any other row k keeps its
+    cache: its other linkages and sizes are unchanged, and its new linkage
+    to i is the size-weighted mean of its old linkages to i and j, neither
+    of which outranked the cached partner (or the merged group is too big
+    for k). One merge thus costs O(n) plus O(n) per rescanned row, instead
+    of a scan over every pair. Returns the clusters sorted by their
+    smallest member.
     """
     n = sim.n
     if not 1 <= num_clusters <= n:
         raise ValueError(f"cluster count must be in [1, {n}], got {num_clusters}")
     cap = math.ceil(1.5 * n / num_clusters)
-    scores = {pair: sim.exact(*pair) for pair in itertools.combinations(range(n), 2)}
-    scale = math.lcm(*(s.denominator for s in scores.values()))
     sums: dict[int, dict[int, int]] = {q: {} for q in range(n)}
-    for (i, j), s in scores.items():
-        sums[i][j] = sums[j][i] = s.numerator * (scale // s.denominator)
+    for i, j in itertools.combinations(range(n), 2):
+        sums[i][j] = sums[j][i] = sim.exact(i, j)
     groups = {q: [q] for q in range(n)}
     best: dict[int, tuple | None] = {}  # group -> (sum, size product, a, b) or None
 

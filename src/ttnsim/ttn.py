@@ -92,7 +92,8 @@ class TtnState:
     @classmethod
     def basis_state(cls, tree: TreeTopology, bits,
                     memory_cap: int = DEFAULT_MEMORY_CAP) -> "TtnState":
-        """Product basis state: all internal edges have dimension 1."""
+        """Product basis state: all internal edges have dimension 1. Raises
+        MemoryCapExceeded when its entries already exceed `memory_cap`."""
         bits = list(bits)
         if len(bits) != tree.num_qubits:
             raise ValueError(f"expected {tree.num_qubits} bits, got {len(bits)}")
@@ -105,6 +106,9 @@ class TtnState:
                 tensors.append(np.array([[1.0 - bits[q]], [bits[q]]], dtype=np.complex128))
             else:
                 tensors.append(np.ones([1] * (len(tree.children[nid]) + 1), dtype=np.complex128))
+        entries = sum(t.size for t in tensors)
+        if entries > memory_cap:
+            raise MemoryCapExceeded(f"basis state needs {entries} entries (cap {memory_cap})")
         return cls(tree, tensors, memory_cap)
 
     def copy(self) -> "TtnState":

@@ -5,8 +5,8 @@ import shutil
 import numpy as np
 import pytest
 
-from ttnsim import cli, statevector
-from ttnsim.circuits import Circuit, dumps_circuit, fmt17, load_circuit
+from ttnsim import cli, gates, statevector
+from ttnsim.circuits import Circuit, dumps_circuit, fmt17, load_circuit, save_circuit
 from ttnsim.cli import main
 from ttnsim.treesearch import find_tree_structure
 
@@ -357,6 +357,16 @@ class TestEveryEngineEnforcesCaps:
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_memory_cap_exit_4(self, lattice4, command, engine):
         assert run([command, "--circuit", lattice4, "--memory-cap", 4]
+                   + self.engine_flags(command, engine)) == 4
+
+    # no two-qubit gate, so only the starting state can pass the cap: 64 dense
+    # entries, 2 per leaf plus 1 per internal node on the trees
+    @pytest.mark.parametrize("engine", ["ttn", "mps", "statevector"])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_memory_cap_on_the_starting_state_exit_4(self, tmp_path, command, engine):
+        circ = tmp_path / "h.json"
+        save_circuit(Circuit(6, [gates.h(q) for q in range(6)]), circ)
+        assert run([command, "--circuit", circ, "--memory-cap", 4]
                    + self.engine_flags(command, engine)) == 4
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])

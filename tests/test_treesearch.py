@@ -22,18 +22,22 @@ def exact_matrix(s):
     return [[s.exact(i, j) for j in range(s.n)] for i in range(s.n)]
 
 
+def score(s, i, j):
+    return Fraction(s.exact(i, j), s.scale)
+
+
 class TestSimilarityMatrix:
     def test_direct_evaluation(self):
         c = Circuit(3, [gates.cnot(0, 1), gates.cnot(1, 2), gates.cnot(0, 1)])
         s = similarity_matrix(c)
-        assert s.exact(0, 1) == Fraction(2) + Fraction(1, 5)   # 2.2
-        assert s.exact(1, 2) == Fraction(1) + Fraction(1, 4)   # 1.25
-        assert s.exact(0, 2) == Fraction(1, 3)  # no shared gate, degrees 2 + 1
-        assert s.exact(1, 0) == Fraction(11, 5)
+        assert score(s, 0, 1) == Fraction(2) + Fraction(1, 5)   # 2.2
+        assert score(s, 1, 2) == Fraction(1) + Fraction(1, 4)   # 1.25
+        assert score(s, 0, 2) == Fraction(1, 3)  # no shared gate, degrees 2 + 1
+        assert score(s, 1, 0) == Fraction(11, 5)
 
     def test_single_gate(self):
         s = similarity_matrix(Circuit(2, [gates.cnot(0, 1)]))
-        assert s.exact(0, 1) == Fraction(3, 2)
+        assert score(s, 0, 1) == Fraction(3, 2)
 
     def test_gate_free_circuit_is_all_zero(self):
         s = similarity_matrix(Circuit(4))
@@ -67,7 +71,7 @@ class TestSimilarityMatrix:
             qa, qb = rng.choice(4, size=2, replace=False)
             c.append(Gate("u", (int(qa), int(qb)), haar_unitary(4, rng)))
             s = similarity_matrix(c)
-            cur = int(s.exact(0, 1))
+            cur = s.exact(0, 1) // s.scale
             assert cur >= prev or {0, 1} != set(c.gates[-1].qubits)
             if {0, 1} == set(c.gates[-1].qubits):
                 prev = cur

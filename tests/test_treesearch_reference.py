@@ -1,13 +1,17 @@
-"""The planner against reference copies of earlier ones. `reference_cluster`
-re-sums every average linkage from single pair scores at each merge, and
-`reference_subtree` scores each pair twice. `full_scan_cluster` keeps exact
-linkage sums but rescans every pair of groups at each merge; it is fast
-enough to check the best-partner cache at 64-100 qubits. All must give the
-same groups and the same plan file, byte for byte."""
+"""The planner against reference copies of earlier ones. The references
+score pairs with `reference_scores`, the paper's s(i, j) as a `Fraction`
+counted straight from the circuit's gates, not with `SimilarityMatrix`.
+`reference_cluster` re-sums every average linkage from single pair scores at
+each merge, and `reference_subtree` scores each pair twice.
+`full_scan_cluster` keeps exact linkage sums but rescans every pair of
+groups at each merge; it is fast enough to check the best-partner cache at
+64-100 qubits. All must give the same groups and the same plan file, byte
+for byte."""
 
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +27,22 @@ from ttnsim.topology import TreeTopology, dumps_topology, node
 from ttnsim.treesearch import cluster, default_cluster_count, find_tree_structure, similarity_matrix
 
 
-def reference_cluster(sim, num_clusters):
-    n = sim.n
+def reference_scores(circuit):
+    """s(i, j) = #(gates on both i and j) + 1 / (deg(i) + deg(j)) as a
+    function of the pair; 0 on the diagonal and where both degrees are 0."""
+    pairs = [frozenset(g.qubits) for g in circuit.two_qubit_gates()]
+    shared = Counter(pairs)
+    degree = Counter(q for pair in pairs for q in pair)
+
+    def score(i, j):
+        den = degree[i] + degree[j]
+        if i == j or den == 0:
+            return Fraction(0)
+        return shared[frozenset((i, j))] + Fraction(1, den)
+    return score
+
+
+def reference_cluster(score, n, num_clusters):
     cap = math.ceil(1.5 * n / num_clusters)
     groups = [[q] for q in range(n)]
 
@@ -32,7 +50,7 @@ def reference_cluster(sim, num_clusters):
         total = Fraction(0)
         for qi in a:
             for qj in b:
-                total += sim.exact(qi, qj)
+                total += score(qi, qj)
         return total / (len(a) * len(b))
 
     while len(groups) > num_clusters:
@@ -53,13 +71,12 @@ def reference_cluster(sim, num_clusters):
     return sorted(groups, key=lambda g: g[0])
 
 
-def full_scan_cluster(sim, num_clusters):
-    n = sim.n
+def full_scan_cluster(score, n, num_clusters):
     cap = math.ceil(1.5 * n / num_clusters)
     groups = [[q] for q in range(n)]
     sums = [[Fraction(0)] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        sums[i][j] = sums[j][i] = sim.exact(i, j)
+        sums[i][j] = sums[j][i] = score(i, j)
 
     while len(groups) > num_clusters:
         best = None
@@ -82,17 +99,17 @@ def full_scan_cluster(sim, num_clusters):
     return sorted(groups, key=lambda g: g[0])
 
 
-def reference_subtree(qubits, sim):
+def reference_subtree(qubits, score):
     qubits = list(qubits)
     if len(qubits) == 1:
         return qubits[0]
     pairs = [(min(a, b), max(a, b)) for idx, a in enumerate(qubits) for b in qubits[idx + 1:]]
-    pairs.sort(key=lambda p: (-sim.exact(*p), p[0], p[1]))
-    running = sim.exact(*pairs[0])
+    pairs.sort(key=lambda p: (-score(*p), p[0], p[1]))
+    running = score(*pairs[0])
     seen = set()
     children = []
     for qa, qb in pairs:
-        value = sim.exact(qa, qb)
+        value = score(qa, qb)
         if running > value:
             children = [node(children)]
             running = value
@@ -104,11 +121,11 @@ def reference_subtree(qubits, sim):
 
 
 def assert_plans_match_reference(circuit):
-    sim = similarity_matrix(circuit)
-    for k in range(1, circuit.num_qubits + 1):
-        groups = reference_cluster(sim, k)
+    sim, score, n = similarity_matrix(circuit), reference_scores(circuit), circuit.num_qubits
+    for k in range(1, n + 1):
+        groups = reference_cluster(score, n, k)
         assert cluster(sim, k) == groups
-        expected = TreeTopology(node(reference_subtree(g, sim) for g in groups))
+        expected = TreeTopology(node(reference_subtree(g, score) for g in groups))
         assert dumps_topology(find_tree_structure(circuit, k)) == dumps_topology(expected)
 
 
@@ -124,6 +141,22 @@ def pair_circuits(draw):
             for _ in range(reps):
                 c.append(gates.cz(qa, qb))
     return c
+
+
+def test_exact_is_the_reference_score_times_scale():
+    # 240 circuits on 2-24 qubits; the first 20 alternate gate-free and one-gate
+    rng = np.random.default_rng(16)
+    for trial in range(240):
+        n = int(rng.integers(2, 25))
+        c = Circuit(n)
+        for _ in range(trial % 2 if trial < 20 else int(rng.integers(0, 60))):
+            qa, qb = rng.choice(n, size=2, replace=False)
+            c.append(gates.cz(int(qa), int(qb)))
+        sim, score = similarity_matrix(c), reference_scores(c)
+        for i in range(n):
+            for j in range(n):
+                value = sim.exact(i, j)
+                assert type(value) is int and value == score(i, j) * sim.scale
 
 
 @settings(max_examples=120)
@@ -180,10 +213,11 @@ def dense_blocks():
 def test_cap_fallback_plans_as_reference():
     # At 10 clusters the cap is 9, yet the eleven blocks cannot shrink to ten
     # without one merge past it: only the fallback can make the 10-member group
-    sim = similarity_matrix(dense_blocks())
-    groups = cluster(sim, 10)
+    circuit = dense_blocks()
+    score = reference_scores(circuit)
+    groups = cluster(similarity_matrix(circuit), 10)
     assert sorted(map(len, groups)) == [5] * 4 + [6] * 5 + [10]
-    assert groups == reference_cluster(sim, 10) == full_scan_cluster(sim, 10)
+    assert groups == reference_cluster(score, 60, 10) == full_scan_cluster(score, 60, 10)
 
 
 LARGE = {"triangle81": lambda: gen_triangle_pattern(3, 64)[0],
@@ -197,15 +231,29 @@ def test_large_circuits_cluster_as_full_scan(name, offset):
     # the reference tests above stop at 36 qubits; each case here rescans
     # 149-293 rows whose cached partner merged away
     circuit = LARGE[name]()
-    sim = similarity_matrix(circuit)
-    k = default_cluster_count(circuit.num_qubits) + offset
-    assert cluster(sim, k) == full_scan_cluster(sim, k)
+    n = circuit.num_qubits
+    k = default_cluster_count(n) + offset
+    score = reference_scores(circuit)
+    assert cluster(similarity_matrix(circuit), k) == full_scan_cluster(score, n, k)
 
 
-def test_243_qubit_triangle_plan_is_pinned():
-    # digest of the plan made by the planner that rescanned every pair of
-    # groups at each merge (full_scan_cluster); too slow to run here
-    circuit, _ = gen_triangle_pattern(4, 64)
+# sha256 of each plan at the default cluster count. The first two are the
+# plans the benchmark's symbolic_large workload times; the 243-qubit one was
+# made by the planner that rescanned every pair of groups at each merge
+# (full_scan_cluster), too slow to run here.
+PINNED = {
+    "triangle81": (lambda: gen_triangle_pattern(3, 64)[0],
+                   "f6244ae814760e10f39781e0dbaa3b4fa9276d28c688d4073e8d5039e9d92ef9"),
+    "lattice8x8_seed100": (lambda: gen_lattice(8, 8, 100),
+                           "1dbe37be35e5b6554d73098a46f69f3c02142d3fdb9ddf43833a1861ba34cc82"),
+    "triangle243": (lambda: gen_triangle_pattern(4, 64)[0],
+                    "c4a59ad88595d88699bb53a70ebbfea2dbc207ddefa2a7269db4b500ba91d335"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_default_plans_are_pinned(name):
+    make, expected = PINNED[name]
+    circuit = make()
     text = dumps_topology(find_tree_structure(circuit, default_cluster_count(circuit.num_qubits)))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "c4a59ad88595d88699bb53a70ebbfea2dbc207ddefa2a7269db4b500ba91d335"
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
