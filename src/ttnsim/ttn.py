@@ -15,11 +15,13 @@ between them. The identity connectors that carry the bond (the turning node,
 the center, takes the compensating 1/sqrt(k) and keeps its norm) are never
 built: threading gauges the path below the turning node into the center,
 children first, and contracts each child's remainder through its connector
-as it goes into the parent. So every public method leaves the state
-canonical, and only the path below the turning node needs its edges
-re-split. A gate inside a subtree cannot change the Schmidt spectrum across
-any edge at or above its turning node, and nothing there is touched: on a
-comb (the MPS) a nearest-neighbour gate costs the same at every site.
+as it goes into the parent. The bond index is fused as the major part of
+every axis it joins, so contracting a connector is the plain contraction
+plus one axis move. So every public method leaves the state canonical, and
+only the path below the turning node needs its edges re-split. A gate
+inside a subtree cannot change the Schmidt spectrum across any edge at or
+above its turning node, and nothing there is touched: on a comb (the MPS) a
+nearest-neighbour gate costs the same at every site.
 
 The sweep is the same for every truncation policy, the reveal: the center
 walks to each touched leaf in turn and back, and each edge it descends is
@@ -27,6 +29,11 @@ split by SVD against the state's true Schmidt spectrum. Exact mode keeps
 each edge at its Schmidt rank there, and a truncating policy cuts there.
 The whole-tree sweep walks the center to the root first and reveals every
 leaf.
+
+Every step of all this is one operation: a center move across one edge
+(`TtnState._move`, gauge-only or, in the reveal, by SVD), whose remainder
+is contracted into the neighbour (`TtnState._contract`, through a bond's
+connector while threading).
 """
 
 import math
@@ -60,19 +67,6 @@ def _truncate_factors(fac, policy: TruncationPolicy, state) -> None:
         fac.u = fac.u[:, :keep]
         fac.s = fac.s[:keep]
         fac.v_dag = fac.v_dag[:keep, :]
-
-
-def _gauge_factors(mat: np.ndarray, nid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauge-only factorization `mat = iso @ remainder` of node `nid`'s
-    matrix, no rank search: with no more rows p than columns q, `iso` is the
-    p-by-p identity and the whole matrix is the remainder (the edge becomes
-    p); otherwise a reduced QR keeps the edge at q."""
-    if mat.shape[0] <= mat.shape[1]:
-        return np.eye(mat.shape[0], dtype=mat.dtype), mat
-    try:
-        return qr_econ(mat)
-    except FactorizationError as exc:
-        raise FactorizationError(f"node {nid}: {exc}") from exc
 
 
 class TtnState:
@@ -132,11 +126,11 @@ class TtnState:
         thread its bond along the leaf-leaf path.
 
         Leaves absorb the gate factors (the new bond index is fused into
-        each leaf's parent axis, minor). Then the path nodes below the
-        turning node move their gauge into it (`_gauge_up`), children before
+        each leaf's parent axis, major). Then the path nodes below the
+        turning node move the center into it (`_move`), children before
         parents, and each child's remainder is contracted through the bond's
         identity connector on its edge as it goes into the parent
-        (`_absorb_up`), so the k-fold larger connector tensors never exist.
+        (`_contract`), so the k-fold larger connector tensors never exist.
         Below a pass-through node the connector ties the child's edge to the
         parent's parent axis. Below the turning node it ties the two path
         children's axes with the 1/sqrt(k): the first child absorbed carries
@@ -167,9 +161,8 @@ class TtnState:
             )
 
         for leaf, factor in ((up_a[0], g_a), (up_b[0], g_b)):
-            t = self.tensors[leaf]  # (2, d)
-            t = np.tensordot(factor, t, axes=(1, 0))  # (2, k, d)
-            self.tensors[leaf] = t.transpose(0, 2, 1).reshape(2, -1)
+            t = np.tensordot(factor, self.tensors[leaf], axes=(1, 0))  # (2, k, d)
+            self.tensors[leaf] = t.reshape(2, -1)
 
         second, first = sorted((up_a[-1], up_b[-1]))
         for nid in sorted(up_a + up_b, reverse=True):  # preorder ids: children first
@@ -179,7 +172,7 @@ class TtnState:
                 tie = (self.tree.child_index(second), k)
             else:
                 tie = (len(self.tree.children[self.tree.parent[nid]]), k)  # parent axis
-            self._gauge_up(nid, tie)
+            self._move(nid, self.tree.parent[nid], tie=tie)
         return up_a + up_b
 
     def apply_two_qubit(self, g: Gate, policy: TruncationPolicy = EXACT):
@@ -196,122 +189,109 @@ class TtnState:
 
     # -- canonical form -----------------------------------------------------
 
-    def _against_child(self, nid: int, child: int) -> np.ndarray:
-        """Node `nid` matricized against the edge to its child `child`: that
-        edge as columns, every other axis (in order) as rows."""
-        ci = self.tree.child_index(child)
+    def _axis(self, nid: int, neighbour: int) -> int:
+        """Node `nid`'s axis towards its tree neighbour `neighbour`: the
+        parent axis is last, a child axis is that child's index."""
+        if neighbour == self.tree.parent[nid]:
+            return self.tensors[nid].ndim - 1
+        return self.tree.child_index(neighbour)
+
+    def _matricize(self, nid: int, axis: int) -> np.ndarray:
+        """Node `nid` matricized against `axis`: that axis as columns,
+        every other axis (in order) as rows."""
         t = self.tensors[nid]
-        stacked = t.reshape(math.prod(t.shape[:ci]), t.shape[ci], -1)  # (before, edge, after)
-        return stacked.transpose(0, 2, 1).reshape(-1, t.shape[ci])
+        stacked = t.reshape(math.prod(t.shape[:axis]), t.shape[axis], -1)  # (before, edge, after)
+        return stacked.transpose(0, 2, 1).reshape(-1, t.shape[axis])
 
-    def _absorb_up(self, nid: int, iso: np.ndarray, remainder: np.ndarray, tie=None):
-        """Set node `nid` to the isometry `iso` (downstream rows by new edge
-        columns) and contract `remainder` (new edge by old edge) into its
-        parent, moving the orthogonality center one edge up.
+    def _move(self, src: int, dst: int, policy: TruncationPolicy | None = None, tie=None):
+        """Move the orthogonality center from `src` across the edge to its
+        neighbour `dst`: factor `src`, matricized against that edge, as
+        `iso @ remainder`, keep the isometry at `src` with the new edge in
+        place of the old axis, and contract the remainder into `dst`
+        (`_contract`, through the connector `tie`).
 
-        With `tie = (axis, k)` the edge carries a threaded bond's identity
+        Without a policy the move is gauge-only, no rank search: with no
+        more rows than columns `iso` is the identity and the whole matrix
+        is the remainder, otherwise a reduced QR keeps the edge at the
+        column count. Under `policy` (the sweep's reveal, with every other
+        node isometric towards `src`) the SVD yields the state's true
+        Schmidt spectrum across the edge, which both exposes the minimal
+        edge dimension and is where the policy truncates."""
+        axis = self._axis(src, dst)
+        mat = self._matricize(src, axis)
+        try:
+            if policy is not None:
+                fac = svd_econ(mat, threshold=RANK_TOL)
+                _truncate_factors(fac, policy, self)
+                iso, remainder = fac.u, fac.s[:, None] * fac.v_dag
+            elif mat.shape[0] <= mat.shape[1]:
+                iso, remainder = np.eye(mat.shape[0], dtype=mat.dtype), mat
+            else:
+                iso, remainder = qr_econ(mat)
+        except FactorizationError as exc:
+            raise FactorizationError(f"node {src}: {exc}") from exc
+        t = self.tensors[src]
+        new = iso.shape[1]
+        # `_matricize` undone: the new edge goes back to `axis`
+        stacked = iso.reshape(math.prod(t.shape[:axis]), -1, new).transpose(0, 2, 1)
+        self.tensors[src] = stacked.reshape(t.shape[:axis] + (new,) + t.shape[axis + 1:])
+        self._contract(dst, self._axis(dst, src), remainder, tie)
+
+    def _contract(self, nid: int, axis: int, remainder: np.ndarray, tie=None):
+        """Contract `remainder` (new edge by old edge) into node `nid`'s
+        `axis`, which becomes the new edge.
+
+        With `tie = (tied, k)` the edge carries a threaded bond's identity
         connector, contracted here instead of being built: the remainder's
-        old edge is (d, k), the parent's axis d and the bond index k, the
-        remainder is contracted over d alone, and k becomes the minor part
-        of the parent's `axis`. That is its parent axis below a pass-through
+        old edge is (k, d), the bond index k and the axis d, the remainder
+        is contracted over d alone, and k becomes the major part of the
+        node's axis `tied`. That is its parent axis below a pass-through
         node; below the turning node it is the other path child's axis, and
         a tie to any axis but the parent's carries the 1/sqrt(k).
         """
         t = self.tensors[nid]
-        self.tensors[nid] = iso.reshape(t.shape[:-1] + (iso.shape[1],))
-        parent = self.tree.parent[nid]
-        ci = self.tree.child_index(nid)
-        pt = self.tensors[parent]
         new = remainder.shape[0]
+        if tie is not None:
+            tied, k = tie
+            if tied != t.ndim - 1:
+                remainder = remainder / math.sqrt(k)
+            remainder = remainder.reshape(new * k, -1)  # old edge (k, d): k joins the rows
+        # on (before, edge, after) stacks one matmul replaces the edge axis
+        # in place; with after = 1 (a parent axis, or the root's last child)
+        # that would be one matrix-vector product per row, so take one
+        # matrix product instead
+        stacked = t.reshape(math.prod(t.shape[:axis]), t.shape[axis], -1)
+        if stacked.shape[2] == 1:
+            merged = stacked[:, :, 0] @ remainder.T
+        else:
+            merged = remainder @ stacked
         if tie is None:
-            # on (before, edge, after) stacks one matmul replaces the edge
-            # axis in place; with after = 1 (the root's last child) that would
-            # be one matrix-vector product per row, so take one matrix
-            # product instead
-            stacked = pt.reshape(math.prod(pt.shape[:ci]), pt.shape[ci], -1)
-            if stacked.shape[2] == 1:
-                merged = stacked[:, :, 0] @ remainder.T
-            else:
-                merged = remainder @ stacked
-            self.tensors[parent] = merged.reshape(pt.shape[:ci] + (new,) + pt.shape[ci + 1:])
+            self.tensors[nid] = merged.reshape(t.shape[:axis] + (new,) + t.shape[axis + 1:])
             return
-        tied, k = tie
-        r = remainder.reshape(new, pt.shape[ci], k)
-        if tied != pt.ndim - 1:
-            r = r / math.sqrt(k)
-        # one matrix product: the parent's other axes, then (new, k); then
-        # new goes to axis ci and k right behind axis `tied`
-        merged = np.tensordot(pt, r, axes=(ci, 1))
-        perm = []
-        for axis in range(pt.ndim):
-            perm.append(pt.ndim - 1 if axis == ci else axis - (axis > ci))
-            if axis == tied:
-                perm.append(pt.ndim)
-        shape = list(pt.shape)
-        shape[ci] = new
+        merged = merged.reshape(t.shape[:axis] + (new, k) + t.shape[axis + 1:])
+        shape = list(t.shape)
+        shape[axis] = new
         shape[tied] *= k
-        self.tensors[parent] = merged.transpose(perm).reshape(shape)
-
-    def _absorb_down(self, parent: int, child: int, iso: np.ndarray, remainder: np.ndarray):
-        """Set `parent` to the isometry `iso` (its `_against_child` rows by
-        new edge columns) and contract `remainder` (new edge by old edge) into
-        the child's parent axis, moving the orthogonality center one edge
-        down."""
-        ci = self.tree.child_index(child)
-        t = self.tensors[parent]
-        k = iso.shape[1]
-        u = iso.reshape(math.prod(t.shape[:ci]), -1, k).transpose(0, 2, 1)
-        self.tensors[parent] = u.reshape(t.shape[:ci] + (k,) + t.shape[ci + 1:])
-        ct = self.tensors[child]
-        merged = ct.reshape(-1, ct.shape[-1]) @ remainder.T
-        self.tensors[child] = merged.reshape(ct.shape[:-1] + (k,))
-
-    def _gauge_up(self, nid: int, tie=None):
-        """Gauge-only upward move of the center from `nid` into its parent,
-        no rank search (`_gauge_factors`), through the connector `tie`
-        (`_absorb_up`)."""
-        t = self.tensors[nid]
-        self._absorb_up(nid, *_gauge_factors(t.reshape(-1, t.shape[-1]), nid), tie)
-
-    def _gauge_down(self, parent: int, child: int):
-        """Gauge-only downward move of the center from `parent` into
-        `child`, no rank search (`_gauge_factors`)."""
-        mat = self._against_child(parent, child)
-        self._absorb_down(parent, child, *_gauge_factors(mat, parent))
+        self.tensors[nid] = np.moveaxis(merged, axis + 1, tied).reshape(shape)
 
     def _move_center(self, target: int, policy: TruncationPolicy | None = None):
-        """Carry the orthogonality center to `target` along the tree path:
-        `_gauge_up` while it climbs to the lowest common ancestor of the two,
-        then `_gauge_down` while it descends, or `_split_down` under
-        `policy` (the sweep's reveal). Edge dimensions never grow."""
+        """Carry the orthogonality center to `target` along the tree path,
+        one `_move` per edge: gauge-only while it climbs to the lowest
+        common ancestor of the two, then gauge-only or, under `policy`, by
+        SVD (the sweep's reveal) while it descends. Edge dimensions never
+        grow."""
         parent, depth = self.tree.parent, self.tree.depth
         node, goal, down = self.center, target, []
         while node != target:
             if depth[node] >= depth[target]:
-                self._gauge_up(node)
+                self._move(node, parent[node])
                 node = parent[node]
             else:
                 down.append(target)
                 target = parent[target]
         for child in reversed(down):
-            if policy is None:
-                self._gauge_down(parent[child], child)
-            else:
-                self._split_down(parent[child], child, policy)
+            self._move(parent[child], child, policy)
         self.center = goal
-
-    def _split_down(self, parent: int, child: int, policy: TruncationPolicy):
-        """Downward move of the orthogonality center from `parent` into
-        `child`. With every other node isometric towards `parent`, the SVD of
-        the parent matricized against the child's edge yields the state's
-        true Schmidt spectrum across that edge, which both exposes the
-        minimal edge dimension and is where the policy truncates."""
-        try:
-            fac = svd_econ(self._against_child(parent, child), threshold=RANK_TOL)
-        except FactorizationError as exc:
-            raise FactorizationError(f"node {parent}: {exc}") from exc
-        _truncate_factors(fac, policy, self)
-        self._absorb_down(parent, child, fac.u, fac.s[:, None] * fac.v_dag)
 
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
         """Re-orthonormalization sweep, the same for every policy: the
@@ -347,13 +327,10 @@ class TtnState:
         chain = self.tree.ancestors(self.center)
         toward = dict(zip(chain[1:], chain))  # center's ancestors: child towards it
         worst = 0.0
-        for nid, t in enumerate(self.tensors):
+        for nid in range(self.tree.num_nodes):
             if nid == self.center:
                 continue
-            if nid in toward:
-                mat = self._against_child(nid, toward[nid])
-            else:
-                mat = t.reshape(-1, t.shape[-1])
+            mat = self._matricize(nid, self._axis(nid, toward.get(nid, self.tree.parent[nid])))
             gram = mat.conj().T @ mat
             worst = max(worst, float(np.linalg.norm(gram - np.eye(mat.shape[1]))))
         return worst

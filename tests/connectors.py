@@ -1,6 +1,10 @@
 """The identity connector that a threaded bond stands for, built explicitly:
 the reference engines in the tests thread by materializing it, so the
-engine, which contracts it as it threads, is checked against that design."""
+engine, which contracts it as it threads, is checked against that design.
+
+The reference fuses the bond index as the minor part of each axis, the
+engine as the major part: the two are compared on the states they
+represent, never on their tensors' layouts."""
 
 import numpy as np
 

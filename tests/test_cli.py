@@ -5,9 +5,10 @@ import shutil
 import numpy as np
 import pytest
 
-from ttnsim import cli, gates, statevector
+from ttnsim import cli, gates, statevector, ttn
 from ttnsim.circuits import Circuit, dumps_circuit, fmt17, load_circuit, save_circuit
 from ttnsim.cli import main
+from ttnsim.errors import FactorizationError
 from ttnsim.treesearch import find_tree_structure
 
 
@@ -143,6 +144,17 @@ class TestSimulate:
         circ = tmp_path / "c.json"
         run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
         assert run(["simulate", "--circuit", circ, "--engine", engine, "--memory-cap", 50]) == 4
+
+    @pytest.mark.parametrize("kernel", ["qr_econ", "svd_econ"])
+    def test_numerical_failure_exit_3(self, tmp_path, kernel, monkeypatch, capsys):
+        def fail(m, *args, **kwargs):
+            raise FactorizationError(f"{kernel} of a {m.shape} matrix did not converge")
+
+        circ = tmp_path / "c.json"
+        run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
+        monkeypatch.setattr(ttn, kernel, fail)
+        assert run(["simulate", "--circuit", circ, "--engine", "ttn"]) == 3
+        assert "numerical failure: node " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, code", [(["--cap", 3], 2), (["--memory-cap", 15], 4),
                                              (["--cap", 4, "--memory-cap", 16], 0)])

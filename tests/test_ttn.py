@@ -4,9 +4,9 @@ import weakref
 import numpy as np
 import pytest
 
-from ttnsim import gates
+from ttnsim import gates, ttn
 from ttnsim.circuits import Circuit
-from ttnsim.errors import MemoryCapExceeded
+from ttnsim.errors import FactorizationError, MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary
 from ttnsim.statevector import fidelity, overlap_error, sv_simulate
 from ttnsim.tensors import EXACT, TruncationPolicy
@@ -39,6 +39,22 @@ def deviation_towards_center(state, nid):
     axis = tree.child_index(chain[chain.index(nid) - 1]) if nid in chain else t.ndim - 1
     mat = np.moveaxis(t, axis, -1).reshape(-1, t.shape[axis])
     return float(np.linalg.norm(mat.conj().T @ mat - np.eye(t.shape[axis])))
+
+
+def record_moves(monkeypatch):
+    """Record every `TtnState._move` from here on as (kind, direction,
+    edge): "split" under a policy, else "gauge"; "down" or "up"; the edge
+    by its child."""
+    moves = []
+
+    def recorded(self, src, dst, policy=None, tie=None, _f=TtnState._move):
+        down = self.tree.parent[dst] == src
+        moves.append(("split" if policy is not None else "gauge", "down" if down else "up",
+                      dst if down else src))
+        return _f(self, src, dst, policy, tie)
+
+    monkeypatch.setattr(TtnState, "_move", recorded)
+    return moves
 
 
 class TestBasisState:
@@ -166,6 +182,40 @@ class TestTwoQubit:
             assert np.allclose(clone.to_statevector(), sv_simulate(c), atol=1e-12)
             assert clone.canonical_deviation() < 1e-10
 
+    @pytest.mark.parametrize("spec", [perfect_tree(3, 2),
+                                      TreeTopology([[0, 1, 2], [3, [4, 5]], 6])])
+    def test_threading_alone_is_exact_on_every_ordered_leaf_pair(self, spec):
+        # ties into a first, middle and last child, through pass-through
+        # nodes, and both absorption orders at the turning node; a ring of
+        # gates after the Hadamard layer gives every edge a dimension above 1,
+        # so the threaded bond's place within each axis shows in the read-out
+        n = spec.num_qubits
+        rng = np.random.default_rng(53)
+        prefix = Circuit(n, [gates.h(q) for q in range(n)])
+        for q in range(n):
+            prefix.append(Gate("u2", (q, (q + 1) % n), haar_unitary(4, rng)))
+        start = run_circuit(prefix, spec)
+        for qa in range(n):
+            for qb in range(n):
+                if qa == qb:
+                    continue
+                g = Gate("u2", (qa, qb), haar_unitary(4, rng))
+                state = start.copy()
+                state.thread_two_qubit(g)
+                exact = sv_simulate(Circuit(n, prefix.gates + [g]))
+                assert np.allclose(state.to_statevector(), exact, atol=1e-12, rtol=0)
+                assert state.canonical_deviation() < 1e-10
+
+    @pytest.mark.parametrize("kernel", ["qr_econ", "svd_econ"])
+    def test_factorization_failure_names_the_node(self, kernel, monkeypatch):
+        def fail(m, *args, **kwargs):
+            raise FactorizationError(f"{kernel} of a {m.shape} matrix did not converge")
+
+        monkeypatch.setattr(ttn, kernel, fail)
+        c = random_circuit(np.random.default_rng(59), 8, 10, p_single=0.0)
+        with pytest.raises(FactorizationError, match=r"^node \d+: "):
+            run_circuit(c, perfect_tree(2, 3))
+
     def test_gate_then_inverse_restores_dimensions(self):
         rng = np.random.default_rng(11)
         topo = perfect_tree(2, 3)
@@ -200,29 +250,18 @@ class TestMixedCanonicalForm:
         state.apply_two_qubit(first, policy)
         assert state.center == lca
         above = set(state.tree.ancestors(lca))  # edges at or above, by child
-        moves = []
-        for name in ("_split_down", "_gauge_down", "_gauge_up"):
-            def recorded(self, *args, _f=getattr(TtnState, name), _name=name):
-                moves.append((_name, args[1] if _name != "_gauge_up" else args[0]))
-                return _f(self, *args)
-            monkeypatch.setattr(TtnState, name, recorded)
+        moves = record_moves(monkeypatch)
         state.apply_two_qubit(second, policy)
-        assert moves and not [m for m in moves if m[1] in above]
-        assert not [m for m in moves if m[0] == "_gauge_down"]
+        assert moves and not [m for m in moves if m[2] in above]
+        assert not [m for m in moves if m[:2] == ("gauge", "down")]
         assert state.center == lca and state.canonical_deviation() < 1e-10
 
     @staticmethod
     def threaded_gates(shape, monkeypatch):
         """Thread each two-qubit gate of three random circuits on trees of
         `shape`, yielding the state, the path `thread_two_qubit` returned and
-        the edges `_split_down` splits from the start of that gate on."""
-        split = []
-
-        def recorded(self, parent, child, *rest, _f=TtnState._split_down):
-            split.append(child)
-            return _f(self, parent, child, *rest)
-
-        monkeypatch.setattr(TtnState, "_split_down", recorded)
+        the moves (`record_moves`) from the start of that gate on."""
+        moves = record_moves(monkeypatch)
         for seed in range(3):
             rng = np.random.default_rng([43, seed])
             if shape == "perfect":
@@ -237,17 +276,17 @@ class TestMixedCanonicalForm:
                 if g.num_qubits == 1:
                     state.apply_single_qubit(g)
                     continue
-                split.clear()
-                yield state, state.thread_two_qubit(g), split
+                moves.clear()
+                yield state, state.thread_two_qubit(g), moves
 
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_sweep_splits_each_path_edge_once(self, shape, policy, monkeypatch):
         # the reveal walks the center to each touched leaf and back: every
         # edge on the gate's path is split exactly once, and no other edge
-        for state, path, split in self.threaded_gates(shape, monkeypatch):
+        for state, path, moves in self.threaded_gates(shape, monkeypatch):
             state.orthonormalize(policy, nodes=path)
-            assert sorted(split) == sorted(path)
+            assert sorted(edge for kind, _, edge in moves if kind == "split") == sorted(path)
 
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
@@ -255,9 +294,10 @@ class TestMixedCanonicalForm:
         # the whole-tree sweep walks the center to the root by gauge moves,
         # then reveals every leaf from there: each edge is split exactly once
         # and the center ends at the root
-        for state, _, split in self.threaded_gates(shape, monkeypatch):
+        for state, _, moves in self.threaded_gates(shape, monkeypatch):
             state.orthonormalize(policy)
-            assert sorted(split) == list(range(1, state.tree.num_nodes))
+            split = sorted(edge for kind, _, edge in moves if kind == "split")
+            assert split == list(range(1, state.tree.num_nodes))
             assert state.center == 0
 
     def test_memory_cap_mid_circuit_leaves_state_canonical(self):

@@ -228,12 +228,13 @@ def check_gate_sweeps(circuit, topo, policy):
 
 
 class PeakState(TtnState):
-    """Records the most entries held after any absorption into a parent."""
+    """Records the most entries held after any contraction into a
+    neighbour, up or down."""
 
     peak = 0
 
-    def _absorb_up(self, nid, iso, remainder, tie=None):
-        super()._absorb_up(nid, iso, remainder, tie)
+    def _contract(self, nid, axis, remainder, tie=None):
+        super()._contract(nid, axis, remainder, tie)
         self.peak = max(self.peak, sum(t.size for t in self.tensors))
 
 
