@@ -184,14 +184,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_dryrun(args) -> int:
     circuit = load_circuit(args.circuit)
+    verdict = None
     if args.engine == "mps":
+        if args.dmax is not None:
+            raise ValueError("--dmax is for the ttn engine only")
         order = _parse_order(args.order, circuit.num_qubits) or list(range(circuit.num_qubits))
         report = dryrun(circuit, order, cap=args.cap)
-        verdict = None
     else:
         topo = _plan_topology(args, circuit)
         report = dryrun(circuit, topo, cap=args.cap)
-        verdict = None
         if args.dmax is not None:
             adm = asdict(admissible(circuit, topo, args.dmax))
             verdict = {k: v for k, v in adm.items() if k not in ("arity", "edge_products")}
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int)
     p.add_argument("--order", help="mps qubit-to-site permutation")
     p.add_argument("--cap", type=int, help="clamp dims here (at least 1) and count events")
-    p.add_argument("--dmax", type=int, help="budget for the admissibility verdict")
+    p.add_argument("--dmax", type=int, help="budget for the admissibility verdict (ttn only)")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv-out", help="write per-edge dims: edge_id,level,dim")
     p.set_defaults(func=cmd_dryrun)

@@ -10,7 +10,9 @@ rank k, after which a worklist, seeded with the path edges, applies
 shadow of economical-SVD sweeps, which can only shrink an edge to the smaller
 of its two matricization sides, so dry-run dimensions upper-bound what the
 engines observe. An MPS site order is walked as its comb (`comb_topology`), an
-idle qubit's leaf edge counting as 1, and reported per bond.
+idle qubit's leaf edge counting as 1, and reported per bond. The dry-run and
+the admissibility check walk the same crossings (`_crossings`), with each
+gate's rank read from its one Schmidt split.
 """
 
 import math
@@ -33,7 +35,6 @@ class GateEvent:
     gate_index: int
     label: str
     k: int
-    path_length: int
     edges: list
 
 
@@ -86,17 +87,21 @@ def _tree_entries(dims: dict, tree: TreeTopology) -> int:
     return total
 
 
-def _dryrun_tree(circuit: Circuit, tree: TreeTopology, cap) -> DryRunReport:
+def _crossings(circuit: Circuit, tree: TreeTopology):
+    """Yield `(gate index, gate, k, path edges)` for each two-qubit gate,
+    after checking that the tree's leaves are the circuit's qubits."""
     if tree.num_qubits != circuit.num_qubits:
         raise ValueError("topology leaves must cover the circuit qubits")
+    for idx, g in enumerate(circuit.gates):
+        if g.num_qubits == 2:
+            yield idx, g, gate_rank(g), tree.path_edges(*g.qubits)
+
+
+def _dryrun_tree(circuit: Circuit, tree: TreeTopology, cap) -> DryRunReport:
     dims = {nid: 1 for nid in range(tree.num_nodes) if tree.parent[nid] is not None}
     events = []
     cap_events = 0
-    for idx, g in enumerate(circuit.gates):
-        if g.num_qubits != 2:
-            continue
-        k = gate_rank(g)
-        edges = tree.path_edges(*g.qubits)
+    for idx, g, k, edges in _crossings(circuit, tree):
         for e in edges:
             dims[e] *= k
         _reduce_tree(dims, tree, edges)
@@ -107,7 +112,7 @@ def _dryrun_tree(circuit: Circuit, tree: TreeTopology, cap) -> DryRunReport:
                 if dims[e] > cap:
                     dims[e] = cap
                     cap_events += 1
-        events.append(GateEvent(idx, g.label, k, len(edges), sorted(edges)))
+        events.append(GateEvent(idx, g.label, k, sorted(edges)))
     levels = {e: tree.edge_level(e) for e in dims}
     d_max = max(dims.values(), default=1)
     return DryRunReport("ttn", dims, levels, max(int(d_max), 2),
@@ -128,7 +133,7 @@ def _dryrun_mps(circuit: Circuit, order, cap) -> DryRunReport:
     events = []
     for ev in rep.events:
         crossed = [bond_of[e] for e in ev.edges if e in bond_of]
-        events.append(GateEvent(ev.gate_index, ev.label, ev.k, len(crossed), crossed))
+        events.append(GateEvent(ev.gate_index, ev.label, ev.k, crossed))
     return DryRunReport("mps", dict(enumerate(bonds)), {j: 1 for j in range(len(bonds))},
                         rep.d_max_observed, comb_entries(bonds), events, cap, rep.cap_events)
 
@@ -189,11 +194,8 @@ def admissible(circuit: Circuit, tree: TreeTopology, d_max: int) -> Admissibilit
     lc = l_cluster(arity, d_max)
     products = {nid: 1 for nid in range(tree.num_nodes)
                 if tree.parent[nid] is not None and tree.node_height[nid] >= lc}
-    for g in circuit.gates:
-        if g.num_qubits != 2:
-            continue
-        k = gate_rank(g)
-        for e in tree.path_edges(*g.qubits):
+    for _, _, k, edges in _crossings(circuit, tree):
+        for e in edges:
             if e in products:
                 products[e] *= k
     violations = sorted(e for e, p in products.items() if p > d_max)

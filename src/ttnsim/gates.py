@@ -5,6 +5,7 @@ listed qubit (q_a is the more significant bit of the 4x4 index).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,11 @@ UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Gate:
-    """A one- or two-qubit unitary acting on named qubits."""
+    """A one- or two-qubit unitary acting on named qubits.
+
+    The gate keeps a read-only copy of its matrix, so neither the caller's
+    array nor a later write can change a gate after its unitarity check.
+    """
 
     label: str
     qubits: tuple[int, ...]
@@ -27,7 +32,9 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix, dtype=np.complex128))
+        matrix = np.array(self.matrix, dtype=np.complex128, order="C")  # always a copy
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
         n = len(self.qubits)
         if n not in (1, 2):
             raise ValueError(f"gate must act on 1 or 2 qubits, got {n}")
@@ -45,6 +52,22 @@ class Gate:
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
+
+    @cached_property
+    def schmidt(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The gate's Schmidt split `(g_a, g_b, k)` (see `split_gate`),
+        computed on first use and kept with the gate, factors read-only."""
+        if self.num_qubits != 2:
+            raise ValueError("only two-qubit gates can be split")
+        fac = svd_econ(_split_regroup(self.matrix), threshold=GATE_RANK_TOL)
+        k = fac.k
+        scale = k**0.25
+        root_s = np.sqrt(fac.s)
+        g_a = scale * (fac.u * root_s).reshape(2, 2, k)
+        g_b = scale * (root_s[:, None] * fac.v_dag).T.reshape(2, 2, k)
+        g_a.flags.writeable = False
+        g_b.flags.writeable = False
+        return g_a, g_b, k
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -140,11 +163,9 @@ def _split_regroup(matrix: np.ndarray) -> np.ndarray:
 
 
 def gate_rank(g: Gate) -> int:
-    """Number of nonzero Schmidt values of a two-qubit gate (1 <= k <= 4)."""
-    if g.num_qubits != 2:
-        raise ValueError("gate_rank is defined for two-qubit gates only")
-    sing = np.linalg.svd(_split_regroup(g.matrix), compute_uv=False)
-    return int(np.count_nonzero(sing >= GATE_RANK_TOL * sing[0]))
+    """Number of nonzero Schmidt values of a two-qubit gate (1 <= k <= 4):
+    the k of its split, so the dry-run and the engines count the same rank."""
+    return g.schmidt[2]
 
 
 def split_gate(g: Gate) -> tuple[np.ndarray, np.ndarray, int]:
@@ -157,14 +178,7 @@ def split_gate(g: Gate) -> tuple[np.ndarray, np.ndarray, int]:
         sum_a kron(g_a[:, :, a], g_b[:, :, a]) == sqrt(k) * g.matrix
 
     and the compensating 1/sqrt(k) is placed on the tree's turning node by
-    the engines, leaving pass-through tensors isometric.
+    the engines, leaving pass-through tensors isometric. The split is
+    factorized once per gate (`Gate.schmidt`); its factors are read-only.
     """
-    if g.num_qubits != 2:
-        raise ValueError("only two-qubit gates can be split")
-    fac = svd_econ(_split_regroup(g.matrix), threshold=GATE_RANK_TOL)
-    k = fac.k
-    scale = k**0.25
-    root_s = np.sqrt(fac.s)
-    g_a = scale * (fac.u * root_s).reshape(2, 2, k)
-    g_b = scale * (root_s[:, None] * fac.v_dag).T.reshape(2, 2, k)
-    return g_a, g_b, k
+    return g.schmidt

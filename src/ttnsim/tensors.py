@@ -72,9 +72,12 @@ class TruncationPolicy:
     `sigma_rel` discards singular values below ``sigma_rel * norm(s)`` at
     each factorization; in canonical form the local spectrum is the state's
     Schmidt spectrum across that edge, so the cut acts on the normalized
-    state. `d_max` caps the kept rank. The default (0, None) is the exact
-    mode: only numerically-zero singular values are removed and the
-    represented state is untouched.
+    state. `d_max` caps the kept rank. A cap that falls inside a block of
+    equal singular values keeps a subspace of that block that rounding
+    chooses, so such a run's results can move with the BLAS build, thread
+    count or contraction order. The default (0, None) is the exact mode:
+    only numerically-zero singular values are removed and the represented
+    state is untouched.
     """
 
     sigma_rel: float = 0.0

@@ -240,6 +240,11 @@ class TestDryrunCmd:
                     "--out", rep_path]) == 0
         assert json.loads(rep_path.read_text())["kind"] == "mps"
 
+    def test_mps_rejects_dmax(self, treelike_files, capsys):
+        circ, _ = treelike_files
+        assert run(["dryrun", "--circuit", circ, "--engine", "mps", "--dmax", 16]) == 2
+        assert "--dmax is for the ttn engine only" in capsys.readouterr().err
+
     @pytest.mark.parametrize("engine", ["ttn", "mps"])
     def test_cap_below_one_exit_2(self, treelike_files, engine):
         circ, topo = treelike_files

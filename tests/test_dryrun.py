@@ -86,7 +86,7 @@ class TestDryRunTree:
         assert len(rep.events) == 1  # one-qubit gates are free
         ev = rep.events[0]
         assert ev.k == 2
-        assert ev.path_length == 4  # two leaf edges plus two internal edges
+        assert len(ev.edges) == 4  # two leaf edges plus two internal edges
 
 
 class TestDryRunMps:
@@ -122,7 +122,7 @@ class TestDryRunMps:
         c = Circuit(5, [gates.cnot(3, 1)])
         rep = dryrun(c, [4, 0, 1, 2, 3])  # qubit 3 at site 2, qubit 1 at site 0
         (ev,) = rep.events
-        assert (ev.path_length, ev.edges) == (2, [0, 1])
+        assert ev.edges == [0, 1]
         assert rep.edge_levels == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_triangle_level_six_identity_order(self):
@@ -138,7 +138,7 @@ class TestDryRunMps:
             65536: 234, 131072: 148, 262144: 108, 524288: 42, 1048576: 30,
             2097152: 4, 4194304: 4}
         assert (rep.m_entries, rep.d_max_observed) == (251681499150120, 4194304)
-        assert sum(ev.path_length for ev in rep.events) == 42687
+        assert sum(len(ev.edges) for ev in rep.events) == 42687
 
     def test_single_site(self):
         rep = dryrun(Circuit(1, [gates.h(0)]), [0])
@@ -220,6 +220,14 @@ class TestAdmissible:
         rep = admissible(c, topo, 4)
         assert not rep.admissible
         assert rep.violations
+
+    def test_topology_must_cover_the_circuit(self):
+        # a 9-qubit circuit on a 27-leaf tree: rejected as the dry-run rejects it
+        c, _ = gen_triangle_pattern(1, 64)
+        topo = perfect_tree(3, 3)
+        for check in (lambda: dryrun(c, topo), lambda: admissible(c, topo, 64)):
+            with pytest.raises(ValueError, match="cover"):
+                check()
 
 
 class TestTrianglePattern:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from ttnsim import gates
+from ttnsim import gates, mps, ttn
+from ttnsim.circuits import gen_lattice
+from ttnsim.dryrun import admissible, dryrun
 from ttnsim.gates import Gate, gate_rank, haar_unitary, split_gate
+from ttnsim.treesearch import find_tree_structure
 
 
 class TestGateValidation:
@@ -35,6 +38,41 @@ class TestGateValidation:
             assert np.allclose(g.matrix.conj().T @ g.matrix, np.eye(dim), atol=1e-12)
 
 
+class TestGateIsImmutable:
+    def test_matrix_is_a_read_only_copy(self):
+        a = gates.cnot(0, 1).matrix.copy()
+        g = Gate("c", (0, 1), a)
+        a[:] = 0
+        assert np.array_equal(g.matrix, gates.cnot(0, 1).matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 0
+
+    def test_split_factors_are_read_only(self):
+        g_a, g_b, _ = split_gate(gates.fsim(0.5, 0.7, 0, 1))
+        for factor in (g_a, g_b):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0, 0] = 0
+
+    def test_each_gate_is_factorized_once(self, monkeypatch):
+        # both engines, both dry-runs and the admissibility check read one split
+        svd_econ = gates.svd_econ
+        calls = []
+
+        def counting(m, *args, **kwargs):
+            calls.append(m.shape)
+            return svd_econ(m, *args, **kwargs)
+
+        monkeypatch.setattr(gates, "svd_econ", counting)
+        c = gen_lattice(3, 4, 7)
+        topo = find_tree_structure(c, 3)
+        ttn.run_circuit(c, topo)
+        mps.run_circuit(c)
+        dryrun(c, topo)
+        dryrun(c, list(range(c.num_qubits)))
+        admissible(c, topo, 16)
+        assert calls == [(4, 4)] * sum(g.num_qubits == 2 for g in c.gates)
+
+
 def _dressed(matrix, rng):
     before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
     after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
@@ -63,7 +101,8 @@ def _rank_cases():
 class TestGateRank:
     @pytest.mark.parametrize("matrix", _rank_cases())
     def test_dryrun_and_engines_count_the_same_rank(self, matrix):
-        # the dry-run counts k with gate_rank, the engines with split_gate
+        # the dry-run counts k with gate_rank, the engines with split_gate:
+        # both read the gate's one split
         g = Gate("g", (0, 1), matrix)
         assert gate_rank(g) == split_gate(g)[2]
 

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ttnsim
 from ttnsim.errors import FactorizationError
 from ttnsim.tensors import TruncationPolicy, qr_econ, svd_econ
 
@@ -92,3 +95,11 @@ class TestTruncationPolicy:
 
 def test_svd_error_type_is_distinct():
     assert issubclass(FactorizationError, RuntimeError)
+
+
+def test_only_tensors_calls_the_lapack_svd():
+    # every rank decision goes through svd_econ, so the package has one SVD
+    src = Path(ttnsim.__file__).resolve().parents[1]
+    callers = sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")
+                     if "np.linalg.svd" in p.read_text(encoding="utf-8"))
+    assert callers == ["ttnsim/tensors.py"]
