@@ -24,6 +24,7 @@ import numpy as np
 from . import gates as gatelib
 from .circuits import Circuit
 from .gates import gate_rank
+from .tensors import check_rank_cap
 from .topology import TreeTopology, comb_bond_edges, comb_entries, comb_topology, perfect_tree
 from .treesearch import l_cluster
 
@@ -142,12 +143,11 @@ def dryrun(circuit: Circuit, layout, cap: int | None = None) -> DryRunReport:
     """Symbolically simulate bond growth for a tree topology or a site order.
 
     `layout` is a TreeTopology for the tree engine, or a qubit-to-site
-    permutation for the MPS baseline, walked as a comb. With `cap` (at least
-    1) set, edges are clamped at the cap and each clamp is recorded as a
-    would-truncate event.
+    permutation for the MPS baseline, walked as a comb. With `cap` (an
+    integer of at least 1) set, edges are clamped at the cap and each clamp
+    is recorded as a would-truncate event.
     """
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    check_rank_cap(cap, "cap")
     if isinstance(layout, TreeTopology):
         return _dryrun_tree(circuit, layout, cap)
     return _dryrun_mps(circuit, layout, cap)

@@ -57,12 +57,9 @@ class MpsState(TtnState):
         return StateMetrics(max([2] + bonds), comb_entries(bonds))
 
 
-def run_circuit(circuit: Circuit, policy: TruncationPolicy = EXACT, bits=None, order=None,
-                memory_cap: int = DEFAULT_MEMORY_CAP) -> MpsState:
-    """Simulate a whole circuit from a basis state in the given site order."""
-    if bits is None:
-        bits = [0] * circuit.num_qubits
-    state = MpsState.basis_state(circuit.num_qubits, bits, order=order, memory_cap=memory_cap)
+def run_circuit(circuit: Circuit, policy: TruncationPolicy = EXACT, order=None) -> MpsState:
+    """Simulate a whole circuit from |0...0> in the given site order."""
+    state = MpsState.basis_state(circuit.num_qubits, [0] * circuit.num_qubits, order=order)
     for g in circuit.gates:
         state.apply(g, policy)
     return state

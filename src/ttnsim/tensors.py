@@ -1,9 +1,10 @@
-"""Dense complex matrix kernels: economical SVD/QR and truncation policies.
+"""Dense complex matrix kernels: economical SVD/QR and the truncation rule.
 
 All tensors are numpy ``complex128`` arrays in row-major (C) layout; the last
 axis is the fastest. Operations are pure functions and never mutate inputs.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,19 +66,27 @@ def qr_econ(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def check_rank_cap(value, what: str) -> None:
+    """A rank cap is None or an integer (numpy's too; not a float or a bool) of at least 1."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                              or value < 1):
+        raise ValueError(f"{what} must be None or an integer of at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """How singular values are pruned during re-orthonormalization sweeps.
 
-    `sigma_rel` discards singular values below ``sigma_rel * norm(s)`` at
-    each factorization; in canonical form the local spectrum is the state's
-    Schmidt spectrum across that edge, so the cut acts on the normalized
-    state. `d_max` caps the kept rank. A cap that falls inside a block of
-    equal singular values keeps a subspace of that block that rounding
-    chooses, so such a run's results can move with the BLAS build, thread
-    count or contraction order. The default (0, None) is the exact mode:
-    only numerically-zero singular values are removed and the represented
-    state is untouched.
+    `rank` is the rule for every SVD a sweep takes: keep the values of at
+    least ``sigma_rel * norm(s)`` (at least one), measured against the norm
+    because in canonical form `s` is the state's Schmidt spectrum across the
+    edge, so the cut acts on the normalized state; then cap the count at
+    `d_max`, a cap that cuts being a cap event. A cap that falls inside a
+    block of equal singular values keeps a subspace of that block that
+    rounding chooses, so such a run's results can move with the BLAS build,
+    thread count or contraction order. The default (0, None) is the exact
+    mode: only numerically-zero singular values are removed and the
+    represented state is untouched.
     """
 
     sigma_rel: float = 0.0
@@ -86,8 +95,18 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0.0 <= self.sigma_rel < 1.0:
             raise ValueError("sigma_rel must lie in [0, 1)")
-        if self.d_max is not None and self.d_max < 1:
-            raise ValueError("d_max must be at least 1")
+        check_rank_cap(self.d_max, "d_max")
+
+    def rank(self, s: np.ndarray) -> tuple[int, bool]:
+        """`(keep, capped)` for a nonincreasing spectrum `s`: how many
+        leading values to keep, and whether `d_max` cut them (a cap event)."""
+        keep = len(s)
+        if self.sigma_rel > 0:
+            floor = self.sigma_rel * float(np.linalg.norm(s))
+            keep = max(1, int(np.count_nonzero(s >= floor)))
+        if self.d_max is not None and keep > self.d_max:
+            return self.d_max, True
+        return keep, False
 
 
 EXACT = TruncationPolicy()

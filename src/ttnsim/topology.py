@@ -122,15 +122,14 @@ class TreeTopology:
             chain.append(self.parent[chain[-1]])
         return chain
 
-    def path_between(self, qa: int, qb: int) -> tuple[list[int], int, list[int]]:
-        """Path structure between two leaves.
+    def path(self, a: int, b: int) -> tuple[list[int], int, list[int]]:
+        """Tree path between nodes `a` and `b`.
 
-        Returns ``(up_a, lca, up_b)`` where `up_a` is the chain from qubit
-        qa's leaf (inclusive) to just below the lowest common ancestor, and
-        likewise `up_b`; `lca` is the turning-point node.
+        Returns ``(up_a, lca, up_b)`` where `up_a` is the chain from `a`
+        (inclusive) to just below their lowest common ancestor `lca`, and
+        likewise `up_b`; both are empty when `a == b`. The deeper side
+        climbs first, `a` on a tie, so the walk is O(path), not O(depth).
         """
-        # climb the deeper side until both meet: O(path), not O(depth)
-        a, b = self.qubit_node[qa], self.qubit_node[qb]
         parent, depth = self.parent, self.depth
         up_a, up_b = [], []
         while a != b:
@@ -141,6 +140,11 @@ class TreeTopology:
                 up_b.append(b)
                 b = parent[b]
         return up_a, a, up_b
+
+    def path_between(self, qa: int, qb: int) -> tuple[list[int], int, list[int]]:
+        """`path` between the leaves of qubits qa and qb: `lca` is the
+        gate's turning node."""
+        return self.path(self.qubit_node[qa], self.qubit_node[qb])
 
     def path_edges(self, qa: int, qb: int) -> list[int]:
         """Edges (as child node ids) the thread between two leaves crosses."""

@@ -48,27 +48,6 @@ from .tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
 from .topology import TreeTopology
 
 
-def _truncate_factors(fac, policy: TruncationPolicy, state) -> None:
-    """Apply a truncation policy to economical SVD factors, in place.
-
-    The threshold is measured against the norm of the local singular-value
-    spectrum: for a canonical network those are the state's Schmidt values
-    across the edge, so the cut acts on the normalized state. Rank capping
-    below the threshold-kept count is recorded as a cap event.
-    """
-    keep = fac.k
-    if policy.sigma_rel > 0:
-        floor = policy.sigma_rel * float(np.linalg.norm(fac.s))
-        keep = max(1, int(np.count_nonzero(fac.s >= floor)))
-    if policy.d_max is not None and keep > policy.d_max:
-        state.cap_events += 1
-        keep = policy.d_max
-    if keep < fac.k:
-        fac.u = fac.u[:, :keep]
-        fac.s = fac.s[:keep]
-        fac.v_dag = fac.v_dag[:keep, :]
-
-
 class TtnState:
     """Mutable TTN statevector over a fixed tree topology, in mixed canonical
     form around the node `center` (the root at construction)."""
@@ -222,8 +201,9 @@ class TtnState:
         try:
             if policy is not None:
                 fac = svd_econ(mat, threshold=RANK_TOL)
-                _truncate_factors(fac, policy, self)
-                iso, remainder = fac.u, fac.s[:, None] * fac.v_dag
+                keep, capped = policy.rank(fac.s)
+                self.cap_events += capped
+                iso, remainder = fac.u[:, :keep], fac.s[:keep, None] * fac.v_dag[:keep]
             elif mat.shape[0] <= mat.shape[1]:
                 iso, remainder = np.eye(mat.shape[0], dtype=mat.dtype), mat
             else:
@@ -275,23 +255,18 @@ class TtnState:
         self.tensors[nid] = np.moveaxis(merged, axis + 1, tied).reshape(shape)
 
     def _move_center(self, target: int, policy: TruncationPolicy | None = None):
-        """Carry the orthogonality center to `target` along the tree path,
-        one `_move` per edge: gauge-only while it climbs to the lowest
-        common ancestor of the two, then gauge-only or, under `policy`, by
-        SVD (the sweep's reveal) while it descends. Edge dimensions never
-        grow."""
-        parent, depth = self.tree.parent, self.tree.depth
-        node, goal, down = self.center, target, []
-        while node != target:
-            if depth[node] >= depth[target]:
-                self._move(node, parent[node])
-                node = parent[node]
-            else:
-                down.append(target)
-                target = parent[target]
+        """Carry the orthogonality center to `target` along the tree path
+        (`TreeTopology.path`), one `_move` per edge: gauge-only while it
+        climbs to the lowest common ancestor of the two, then gauge-only or,
+        under `policy`, by SVD (the sweep's reveal) while it descends. Edge
+        dimensions never grow."""
+        up, _, down = self.tree.path(self.center, target)
+        parent = self.tree.parent
+        for node in up:
+            self._move(node, parent[node])
         for child in reversed(down):
             self._move(parent[child], child, policy)
-        self.center = goal
+        self.center = target
 
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
         """Re-orthonormalization sweep, the same for every policy: the
@@ -381,12 +356,10 @@ class TtnState:
         return StateMetrics(int(d_max), int(m_entries))
 
 
-def run_circuit(circuit: Circuit, topology: TreeTopology, policy: TruncationPolicy = EXACT,
-                bits=None, memory_cap: int = DEFAULT_MEMORY_CAP) -> TtnState:
-    """Simulate a whole circuit from a basis state on the given topology."""
-    if bits is None:
-        bits = [0] * circuit.num_qubits
-    state = TtnState.basis_state(topology, bits, memory_cap=memory_cap)
+def run_circuit(circuit: Circuit, topology: TreeTopology,
+                policy: TruncationPolicy = EXACT) -> TtnState:
+    """Simulate a whole circuit from |0...0> on the given topology."""
+    state = TtnState.basis_state(topology, [0] * circuit.num_qubits)
     for g in circuit.gates:
         state.apply(g, policy)
     return state

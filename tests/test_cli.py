@@ -245,6 +245,11 @@ class TestDryrunCmd:
         assert run(["dryrun", "--circuit", circ, "--engine", "mps", "--dmax", 16]) == 2
         assert "--dmax is for the ttn engine only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "dryrun"])
+    @pytest.mark.parametrize("order", ["0,0,1,2", "0,1,2"], ids=["repeated", "short"])
+    def test_bad_order_exit_2(self, lattice4, command, order):
+        assert run([command, "--circuit", lattice4, "--engine", "mps", "--order", order]) == 2
+
     @pytest.mark.parametrize("engine", ["ttn", "mps"])
     def test_cap_below_one_exit_2(self, treelike_files, engine):
         circ, topo = treelike_files
@@ -301,7 +306,7 @@ class TestMalformedInputsExit2:
 
     @pytest.mark.parametrize("command", ["simulate", "plan", "dryrun"])
     @pytest.mark.parametrize("case", ["matrix_of_numbers", "array_document", "float_qubit",
-                                      "bool_qubit", "float_num_qubits"])
+                                      "bool_qubit", "float_num_qubits", "zero_num_qubits"])
     def test_circuit(self, tmp_path, lattice4, command, case):
         doc = json.loads(lattice4.read_text())
         gate = doc["gates"][0]  # a two-qubit gate on qubits 0 and 1
@@ -313,6 +318,8 @@ class TestMalformedInputsExit2:
             gate["qubits"][0] = 0.9
         elif case == "bool_qubit":
             gate["qubits"][1] = True
+        elif case == "zero_num_qubits":
+            doc["num_qubits"] = 0
         else:
             doc["num_qubits"] = 4.0
         bad = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ttnsim import gates
-from ttnsim.circuits import Circuit, gen_treelike
+from ttnsim.circuits import Circuit, gen_lattice, gen_treelike
 from ttnsim.dryrun import (admissible, dryrun, edge_crossing_limit, gen_triangle_pattern,
                            node_crossing_limit, random_qubit_orders)
 from ttnsim.gates import Gate, gate_rank, haar_unitary
@@ -194,6 +194,20 @@ class TestCap:
             dryrun(c, perfect_tree(2, 2), cap=cap)
         with pytest.raises(ValueError):
             dryrun(c, list(range(4)), cap=cap)
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True], ids=["float", "whole-float", "bool"])
+    def test_cap_must_be_an_integer(self, cap):
+        # a float cap gave fractional edge dims and entry counts
+        c = gen_lattice(3, 6, 1)
+        with pytest.raises(ValueError, match="integer"):
+            dryrun(c, find_tree_structure(c, 3), cap=cap)
+        with pytest.raises(ValueError, match="integer"):
+            dryrun(c, list(range(c.num_qubits)), cap=cap)
+
+    def test_numpy_integer_cap_passes(self):
+        c = gen_lattice(3, 6, 1)
+        topo = find_tree_structure(c, 3)
+        assert dryrun(c, topo, cap=np.int64(2)).edge_dims == dryrun(c, topo, cap=2).edge_dims
 
     def test_cap_one_clamps_leaf_edges_too(self):
         rep = dryrun(Circuit(2, [gates.cnot(0, 1)]), [0, 1], cap=1)

@@ -49,13 +49,16 @@ def reference_tree_dims(circuit, tree, cap=None):
     return dims, clamps
 
 
-def reference_path_between(tree, qa, qb):
-    """The path between two leaves from their full ancestor chains."""
-    chain_a = tree.ancestors(tree.qubit_node[qa])
-    chain_b = tree.ancestors(tree.qubit_node[qb])
+def reference_path(tree, a, b):
+    """The path between two nodes from their full ancestor chains."""
+    chain_a, chain_b = tree.ancestors(a), tree.ancestors(b)
     in_b = set(chain_b)
     lca = next(nid for nid in chain_a if nid in in_b)
     return chain_a[:chain_a.index(lca)], lca, chain_b[:chain_b.index(lca)]
+
+
+def reference_path_between(tree, qa, qb):
+    return reference_path(tree, tree.qubit_node[qa], tree.qubit_node[qb])
 
 
 def reference_chain_bonds(circuit, order):
@@ -150,7 +153,11 @@ class TestDryRunProperties:
     @settings(max_examples=100)
     @given(trees_and_circuits())
     def test_path_between_matches_ancestor_chains(self, case):
+        # every node pair, so also a == b and ancestor-descendant pairs
         _, topo = case
+        for a in range(topo.num_nodes):
+            for b in range(topo.num_nodes):
+                assert topo.path(a, b) == reference_path(topo, a, b)
         for qa in range(topo.num_qubits):
             for qb in range(topo.num_qubits):
                 assert topo.path_between(qa, qb) == reference_path_between(topo, qa, qb)

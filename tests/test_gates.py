@@ -4,7 +4,7 @@ import pytest
 from ttnsim import gates, mps, ttn
 from ttnsim.circuits import gen_lattice
 from ttnsim.dryrun import admissible, dryrun
-from ttnsim.gates import Gate, gate_rank, haar_unitary, split_gate
+from ttnsim.gates import GATE_RANK_TOL, Gate, gate_rank, haar_unitary, split_gate
 from ttnsim.treesearch import find_tree_structure
 
 
@@ -101,10 +101,14 @@ def _rank_cases():
 class TestGateRank:
     @pytest.mark.parametrize("matrix", _rank_cases())
     def test_dryrun_and_engines_count_the_same_rank(self, matrix):
-        # the dry-run counts k with gate_rank, the engines with split_gate:
-        # both read the gate's one split
+        # the dry-run counts k with gate_rank, the engines with split_gate;
+        # both must be the count of the regrouped ((out_a, in_a), (out_b,
+        # in_b)) matrix's singular values at or above GATE_RANK_TOL * s[0]
         g = Gate("g", (0, 1), matrix)
-        assert gate_rank(g) == split_gate(g)[2]
+        regrouped = np.asarray(matrix).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        s = np.linalg.svd(regrouped, compute_uv=False)
+        count = int(np.count_nonzero(s >= GATE_RANK_TOL * s[0]))
+        assert gate_rank(g) == split_gate(g)[2] == count
 
     def test_cphase_phases_straddle_the_tolerance(self):
         assert gate_rank(gates.cphase(1e-12, 0, 1)) == 1

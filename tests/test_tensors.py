@@ -92,6 +92,16 @@ class TestTruncationPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(d_max=0)
 
+    @pytest.mark.parametrize("d_max", [2.5, 2.0, True, np.float64(2.0)],
+                             ids=["float", "whole-float", "bool", "numpy-float"])
+    def test_cap_must_be_an_integer(self, d_max):
+        # a float cap would fail mid-gate as a slice index, the state half-applied
+        with pytest.raises(ValueError, match="integer"):
+            TruncationPolicy(d_max=d_max)
+
+    def test_numpy_integer_cap_passes(self):
+        assert TruncationPolicy(d_max=np.int64(4)).rank(np.ones(6)) == (4, True)
+
 
 def test_svd_error_type_is_distinct():
     assert issubclass(FactorizationError, RuntimeError)

@@ -7,6 +7,8 @@ identity connectors built, where the engine contracts them as it threads, and
 runs on a copy whose center the engine first moved to the root, where the
 earlier sweep kept it."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from connectors import expand_pair
@@ -18,7 +20,7 @@ from ttnsim.circuits import Circuit
 from ttnsim.errors import MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary, split_gate
 from ttnsim.statevector import apply_gate, fidelity, sv_simulate
-from ttnsim.tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
+from ttnsim.tensors import EXACT, RANK_TOL, SvdFactors, TruncationPolicy, qr_econ, svd_econ
 from ttnsim.topology import comb_topology, perfect_tree
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import TtnState
@@ -227,6 +229,26 @@ def check_gate_sweeps(circuit, topo, policy):
         assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
 
 
+@st.composite
+def spectra_and_policies(draw):
+    """A nonincreasing spectrum made of blocks of equal values; a `sigma_rel`
+    that is zero, free, or `s[j] / norm(s)` for one of its values (the
+    floor at that value) or one ulp either side of that; and a `d_max`
+    below, at or above the count that `sigma_rel` keeps."""
+    blocks = draw(st.lists(st.tuples(st.floats(1e-6, 1.0), st.integers(1, 4)),
+                           min_size=1, max_size=5))
+    s = np.array(sorted((value for value, size in blocks for _ in range(size)), reverse=True))
+    at = s[draw(st.integers(0, len(s) - 1))] / float(np.linalg.norm(s))
+    kind = draw(st.sampled_from(["zero", "free", "at", "below", "above"]))
+    sigma_rel = {"zero": 0.0, "free": draw(st.floats(0.0, 0.99)), "at": at,
+                 "below": np.nextafter(at, 0.0), "above": np.nextafter(at, 1.0)}[kind]
+    sigma_rel = float(min(sigma_rel, np.nextafter(1.0, 0.0)))
+    kept = len(_truncate(SvdFactors(np.eye(len(s)), s, np.eye(len(s))),
+                         TruncationPolicy(sigma_rel), SimpleNamespace(cap_events=0))[1])
+    d_max = draw(st.sampled_from([None, max(1, kept - 1), kept, kept + 1]))
+    return s, TruncationPolicy(sigma_rel, d_max)
+
+
 class PeakState(TtnState):
     """Records the most entries held after any contraction into a
     neighbour, up or down."""
@@ -246,6 +268,16 @@ def threading_price(state, g):
     up_a, lca, up_b = state.tree.path_between(*g.qubits)
     grown = {up_a[0]: k, up_b[0]: k} | {nid: k * k for nid in up_a[1:] + up_b[1:] + [lca]}
     return sum(t.size * grown.get(nid, 1) for nid, t in enumerate(state.tensors))
+
+
+class TestTruncationRule:
+    @settings(max_examples=300)
+    @given(spectra_and_policies())
+    def test_rank_matches_reference_truncation(self, case):
+        s, policy = case
+        counter = SimpleNamespace(cap_events=0)
+        _, kept, _ = _truncate(SvdFactors(np.eye(len(s)), s, np.eye(len(s))), policy, counter)
+        assert policy.rank(s) == (len(kept), counter.cap_events == 1)
 
 
 class TestSweepProperties:
