@@ -189,7 +189,9 @@ class AdmissibilityReport:
 
 def admissible(circuit: Circuit, tree: TreeTopology, d_max: int) -> AdmissibilityReport:
     """Check the crossing-product condition prod(k_G) <= d_max on every
-    restricted edge."""
+    restricted edge. `d_max` is an integer (numpy's too; not a float or a
+    bool) of at least 2."""
+    check_rank_cap(d_max, "d_max")
     arity = max(tree.max_arity, 2)
     lc = l_cluster(arity, d_max)
     products = {nid: 1 for nid in range(tree.num_nodes)

@@ -30,10 +30,13 @@ each edge at its Schmidt rank there, and a truncating policy cuts there.
 The whole-tree sweep walks the center to the root first and reveals every
 leaf.
 
-Every step of all this is one operation: a center move across one edge
-(`TtnState._move`, gauge-only or, in the reveal, by SVD), whose remainder
-is contracted into the neighbour (`TtnState._contract`, through a bond's
-connector while threading).
+Every step of all this is one operation, a matrix contracted into one axis
+of a node (`TtnState._contract`): a one-qubit gate into its leaf's physical
+axis, a gate factor into its leaf with the new bond tied into the leaf's
+parent axis, the remainder of a center move across one edge
+(`TtnState._move`, gauge-only or, in the reveal, by SVD) into the neighbour,
+through a bond's connector while threading, and, in the read-out, each node
+into its parent's axis for it.
 """
 
 import math
@@ -92,13 +95,15 @@ class TtnState:
 
     # -- gate application ---------------------------------------------------
 
-    def apply_single_qubit(self, g: Gate):
-        """Absorb a one-qubit gate into its leaf; dimensions never change."""
-        if g.num_qubits != 1:
-            raise ValueError("expected a one-qubit gate")
-        leaf = self.tree.qubit_node[g.qubits[0]]
-        self.tensors[leaf] = np.tensordot(g.matrix, self.tensors[leaf], axes=(1, 0))
-        return self
+    def apply(self, g: Gate, policy: TruncationPolicy = EXACT):
+        """Apply a gate. A one-qubit gate is contracted into its leaf's
+        physical axis (dimensions never change); a two-qubit gate is
+        threaded, then the path edges below its turning node are split under
+        the given truncation policy (the reveal)."""
+        if g.num_qubits == 1:
+            self._contract(self.tree.qubit_node[g.qubits[0]], 0, g.matrix)
+            return self
+        return self.orthonormalize(policy, nodes=self.thread_two_qubit(g))
 
     def thread_two_qubit(self, g: Gate) -> list[int]:
         """Move the center to the gate's turning node, split the gate and
@@ -139,9 +144,8 @@ class TtnState:
                 f"(cap {self.memory_cap})"
             )
 
-        for leaf, factor in ((up_a[0], g_a), (up_b[0], g_b)):
-            t = np.tensordot(factor, self.tensors[leaf], axes=(1, 0))  # (2, k, d)
-            self.tensors[leaf] = t.reshape(2, -1)
+        for leaf, factor in ((up_a[0], g_a), (up_b[0], g_b)):  # factor: (out, in, k)
+            self._contract(leaf, 0, factor.transpose(0, 2, 1).reshape(2, -1), tie=(1, k))
 
         second, first = sorted((up_a[-1], up_b[-1]))
         for nid in sorted(up_a + up_b, reverse=True):  # preorder ids: children first
@@ -153,18 +157,6 @@ class TtnState:
                 tie = (len(self.tree.children[self.tree.parent[nid]]), k)  # parent axis
             self._move(nid, self.tree.parent[nid], tie=tie)
         return up_a + up_b
-
-    def apply_two_qubit(self, g: Gate, policy: TruncationPolicy = EXACT):
-        """Two-qubit gate: thread, then split the path edges below the
-        turning node under the given truncation policy (the reveal)."""
-        path = self.thread_two_qubit(g)
-        self.orthonormalize(policy, nodes=path)
-        return self
-
-    def apply(self, g: Gate, policy: TruncationPolicy = EXACT):
-        if g.num_qubits == 1:
-            return self.apply_single_qubit(g)
-        return self.apply_two_qubit(g, policy)
 
     # -- canonical form -----------------------------------------------------
 
@@ -322,27 +314,18 @@ class TtnState:
         if n > qubit_cap:
             raise ValueError(f"{n} qubits exceeds the contraction cap of {qubit_cap}")
 
-        # postorder: every child's (tensor, qubit order) is ready before its
-        # parent contracts it; a loop, not recursion, as combs are deep
-        parts = {}
-        for nid in self.tree.postorder:
-            q = self.tree.leaf_qubit[nid]
-            if q is not None:
-                parts[nid] = (self.tensors[nid], [q])
-                continue
-            acc = self.tensors[nid]
-            order: list[int] = []
-            for child in self.tree.children[nid]:
-                vec, qubits = parts.pop(child)
-                # contract the child's parent axis with acc's leading child axis;
-                # physical axes accumulate behind the remaining child axes
-                acc = np.tensordot(acc, vec, axes=(0, vec.ndim - 1))
-                order.extend(qubits)
-            # axes now: (parent, phys...) with phys in child order
-            parts[nid] = (np.moveaxis(acc, 0, -1), order)
-
-        vec, order = parts[self.tree.postorder[-1]]
-        vec = vec.reshape([2] * n)  # root parent axis is the trailing dummy
+        # postorder, on a throwaway list: each node, matricized against its
+        # parent axis, is contracted into the parent's axis for it, so that
+        # axis becomes the node's qubits; a loop, not recursion, as combs are
+        # deep. The root's axes end up as the qubits in preorder.
+        walk = TtnState(self.tree, list(self.tensors))
+        for nid in self.tree.postorder[:-1]:
+            parent = self.tree.parent[nid]
+            walk._contract(parent, walk._axis(parent, nid),
+                           walk._matricize(nid, walk._axis(nid, parent)))
+            walk.tensors[nid] = None  # contracted: drop it
+        vec = walk.tensors[0].reshape([2] * n)  # root parent axis is the trailing dummy
+        order = [q for q in self.tree.leaf_qubit if q is not None]
         perm = [order.index(q) for q in range(n)]
         return np.ascontiguousarray(vec.transpose(perm)).reshape(-1)
 

@@ -156,6 +156,17 @@ class TestSimulate:
         assert run(["simulate", "--circuit", circ, "--engine", "ttn"]) == 3
         assert "numerical failure: node " in capsys.readouterr().err
 
+    def test_lapack_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the engine's own conversion of a LinAlgError, not a patched wrapper
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        circ = tmp_path / "c.json"
+        run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        assert run(["simulate", "--circuit", circ, "--engine", "ttn"]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, code", [(["--cap", 3], 2), (["--memory-cap", 15], 4),
                                              (["--cap", 4, "--memory-cap", 16], 0)])
     def test_statevector_enforces_caps(self, tmp_path, flags, code):

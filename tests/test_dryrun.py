@@ -235,6 +235,19 @@ class TestAdmissible:
         assert not rep.admissible
         assert rep.violations
 
+    @pytest.mark.parametrize("d_max, message", [
+        (2.5, "integer"), (True, "integer"), (1, "at least 2"),
+    ])
+    def test_budget_validated(self, d_max, message):
+        c = gen_lattice(3, 6, 1)
+        with pytest.raises(ValueError, match=message):
+            admissible(c, find_tree_structure(c, 3), d_max)
+
+    def test_numpy_integer_budget_accepted(self):
+        c = gen_lattice(3, 6, 1)
+        topo = find_tree_structure(c, 3)
+        assert admissible(c, topo, np.int64(16)) == admissible(c, topo, 16)
+
     def test_topology_must_cover_the_circuit(self):
         # a 9-qubit circuit on a 27-leaf tree: rejected as the dry-run rejects it
         c, _ = gen_triangle_pattern(1, 64)

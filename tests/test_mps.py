@@ -59,7 +59,7 @@ class TestBasisState:
     def test_copy_stays_an_mps(self):
         state = MpsState.basis_state(3, [0, 1, 0], order=[2, 0, 1])
         clone = state.copy()
-        state.apply_single_qubit(gates.x(1))
+        state.apply(gates.x(1))
         assert isinstance(clone, MpsState) and clone.bond_dims() == [1, 1]
         assert clone.to_statevector()[2] == 1.0
 
@@ -67,15 +67,15 @@ class TestBasisState:
 class TestGateApplication:
     def test_adjacent_cnot_bond_two(self):
         state = MpsState.basis_state(2, [0, 0])
-        state.apply_single_qubit(gates.h(0))
-        state.apply_two_qubit(gates.cnot(0, 1))
+        state.apply(gates.h(0))
+        state.apply(gates.cnot(0, 1))
         root2 = 1 / np.sqrt(2)
         assert np.allclose(state.to_statevector(), [root2, 0, 0, root2], atol=1e-12)
         assert state.bond_dims()[0] == 2
 
     def test_long_range_gate_threads_through_middle(self):
         state = MpsState.basis_state(3, [0, 0, 0])
-        state.apply_single_qubit(gates.h(0))
+        state.apply(gates.h(0))
         path = state.thread_two_qubit(gates.cnot(0, 2))
         # the bond is threaded through the middle site's spine node: once
         # swept, it carries bond 1 and bond 0 at the cnot's rank 2 and site
@@ -134,7 +134,7 @@ class TestGateApplication:
     def test_memory_cap(self):
         state = MpsState.basis_state(8, [0] * 8, memory_cap=40)
         with pytest.raises(MemoryCapExceeded):
-            state.apply_two_qubit(gates.fsim(0.7, 0.3, 0, 7))
+            state.apply(gates.fsim(0.7, 0.3, 0, 7))
 
 
 class TestOrthonormalize:
@@ -207,8 +207,8 @@ class TestMetrics:
 
     def test_entries_track_bonds(self):
         state = MpsState.basis_state(2, [0, 0])
-        state.apply_single_qubit(gates.h(0))
-        state.apply_two_qubit(gates.cnot(0, 1))
+        state.apply(gates.h(0))
+        state.apply(gates.cnot(0, 1))
         assert state.metrics().m_entries == 2 * 2 + 2 * 2  # (1,2,2) + (2,2,1)
 
 

@@ -103,6 +103,20 @@ class TestTruncationPolicy:
         assert TruncationPolicy(d_max=np.int64(4)).rank(np.ones(6)) == (4, True)
 
 
+@pytest.mark.parametrize("kernel, factorize, name", [
+    ("svd", svd_econ, "SVD"), ("qr", qr_econ, "QR"),
+])
+def test_lapack_failure_becomes_factorization_error(kernel, factorize, name, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, kernel, fail)
+    with pytest.raises(FactorizationError,
+                       match=rf"^{name} of a \(2, 2\) matrix did not converge$") as info:
+        factorize(np.eye(2, dtype=complex))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_svd_error_type_is_distinct():
     assert issubclass(FactorizationError, RuntimeError)
 
@@ -113,3 +127,9 @@ def test_only_tensors_calls_the_lapack_svd():
     callers = sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")
                      if "np.linalg.svd" in p.read_text(encoding="utf-8"))
     assert callers == ["ttnsim/tensors.py"]
+
+
+def test_only_contract_contracts_into_a_node():
+    # every matrix goes into a TTN node through TtnState._contract
+    text = (Path(ttnsim.__file__).resolve().parent / "ttn.py").read_text(encoding="utf-8")
+    assert "tensordot" not in text and "einsum" not in text

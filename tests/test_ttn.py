@@ -86,7 +86,7 @@ class TestBasisState:
 class TestSingleQubit:
     def test_x_flips_leaf(self):
         state = TtnState.basis_state(two_leaf(), [0, 0])
-        state.apply_single_qubit(gates.x(0))
+        state.apply(gates.x(0))
         assert np.allclose(state.to_statevector(), [0, 0, 1, 0])
 
     def test_h_squared_is_identity(self):
@@ -95,8 +95,8 @@ class TestSingleQubit:
         topo = find_tree_structure(c, 2)
         state = run_circuit(c, topo)
         before = state.to_statevector()
-        state.apply_single_qubit(gates.h(2))
-        state.apply_single_qubit(gates.h(2))
+        state.apply(gates.h(2))
+        state.apply(gates.h(2))
         assert np.allclose(state.to_statevector(), before, atol=1e-12)
 
     def test_norm_preserved(self):
@@ -104,25 +104,20 @@ class TestSingleQubit:
         c = random_circuit(rng, 5, 15)
         topo = find_tree_structure(c, 2)
         state = run_circuit(c, topo)
-        state.apply_single_qubit(Gate("u1", (3,), haar_unitary(2, rng)))
+        state.apply(Gate("u1", (3,), haar_unitary(2, rng)))
         assert abs(np.linalg.norm(state.to_statevector()) - 1.0) < 1e-12
-
-    def test_wrong_arity_rejected(self):
-        state = TtnState.basis_state(two_leaf(), [0, 0])
-        with pytest.raises(ValueError):
-            state.apply_single_qubit(gates.cz(0, 1))
 
 
 class TestTwoQubit:
     def test_cnot_on_10(self):
         state = TtnState.basis_state(two_leaf(), [1, 0])
-        state.apply_two_qubit(gates.cnot(0, 1))
+        state.apply(gates.cnot(0, 1))
         assert np.allclose(state.to_statevector(), [0, 0, 0, 1], atol=1e-12)
 
     def test_bell_pair(self):
         state = TtnState.basis_state(two_leaf(), [0, 0])
-        state.apply_single_qubit(gates.h(0))
-        state.apply_two_qubit(gates.cnot(0, 1))
+        state.apply(gates.h(0))
+        state.apply(gates.cnot(0, 1))
         root2 = 1 / np.sqrt(2)
         assert np.allclose(state.to_statevector(), [root2, 0, 0, root2], atol=1e-12)
         assert state.edge_dim(1) == 2  # Schmidt rank of the Bell pair
@@ -130,7 +125,7 @@ class TestTwoQubit:
     def test_same_qubit_rejected(self):
         state = TtnState.basis_state(two_leaf(), [0, 0])
         with pytest.raises(ValueError):
-            state.apply_two_qubit(gates.h(0))
+            state.thread_two_qubit(gates.h(0))
 
     def test_12_qubit_random_circuit_matches_oracle(self):
         rng = np.random.default_rng(7)
@@ -167,7 +162,7 @@ class TestTwoQubit:
         # the tensors hold the gated state in canonical form, so read-out,
         # another gate, a copy and either sweep all see the exact state
         state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8)
-        state.apply_single_qubit(gates.h(0))
+        state.apply(gates.h(0))
         state.thread_two_qubit(gates.cnot(0, 7))
         bell = np.zeros(256)
         bell[0b00000000] = bell[0b10000001] = 1 / np.sqrt(2)
@@ -224,8 +219,8 @@ class TestTwoQubit:
         dims_before = [state.edge_dim(n) for n in range(1, state.tree.num_nodes)]
         g = Gate("u2", (0, 5), haar_unitary(4, rng))
         ginv = Gate("u2inv", (0, 5), g.matrix.conj().T)
-        state.apply_two_qubit(g)
-        state.apply_two_qubit(ginv)
+        state.apply(g)
+        state.apply(ginv)
         state.orthonormalize(EXACT)
         dims_after = [state.edge_dim(n) for n in range(1, state.tree.num_nodes)]
         assert all(a <= b for a, b in zip(dims_after, dims_before))
@@ -233,7 +228,7 @@ class TestTwoQubit:
     def test_memory_cap_triggers_loud_failure(self):
         state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8, memory_cap=30)
         with pytest.raises(MemoryCapExceeded):
-            state.apply_two_qubit(gates.fsim(0.4, 0.9, 0, 7))
+            state.apply(gates.fsim(0.4, 0.9, 0, 7))
 
 
 class TestMixedCanonicalForm:
@@ -247,11 +242,11 @@ class TestMixedCanonicalForm:
         second = Gate("u2", (1, 2), haar_unitary(4, rng))
         lca = state.tree.path_between(0, 3)[1]
         assert state.tree.path_between(1, 2)[1] == lca
-        state.apply_two_qubit(first, policy)
+        state.apply(first, policy)
         assert state.center == lca
         above = set(state.tree.ancestors(lca))  # edges at or above, by child
         moves = record_moves(monkeypatch)
-        state.apply_two_qubit(second, policy)
+        state.apply(second, policy)
         assert moves and not [m for m in moves if m[2] in above]
         assert not [m for m in moves if m[:2] == ("gauge", "down")]
         assert state.center == lca and state.canonical_deviation() < 1e-10
@@ -274,7 +269,7 @@ class TestMixedCanonicalForm:
             state = TtnState.basis_state(topo, [0] * c.num_qubits)
             for g in c.gates:
                 if g.num_qubits == 1:
-                    state.apply_single_qubit(g)
+                    state.apply(g)
                     continue
                 moves.clear()
                 yield state, state.thread_two_qubit(g), moves
@@ -309,7 +304,7 @@ class TestMixedCanonicalForm:
         with pytest.raises(MemoryCapExceeded):
             for g in c.gates:
                 center, before = state.center, state.to_statevector()
-                state.apply_two_qubit(g)
+                state.apply(g)
                 applied.append(g)
         failed = c.gates[len(applied.gates)]
         # mid-circuit, and the failing gate needed the center elsewhere
@@ -337,7 +332,7 @@ class TestOrthonormalize:
 
     def test_path_dimensions_bounded_by_leaf_counts(self):
         state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8)
-        state.apply_two_qubit(gates.cnot(0, 7))
+        state.apply(gates.cnot(0, 7))
         tree = state.tree
         for nid in range(1, tree.num_nodes):
             leaves_below = 2 ** tree.node_height[nid] if not tree.is_leaf(nid) else 1
@@ -347,16 +342,16 @@ class TestOrthonormalize:
         # Bell state Schmidt values are 1/sqrt(2) each; a tiny threshold
         # cannot touch them
         state = TtnState.basis_state(two_leaf(), [0, 0])
-        state.apply_single_qubit(gates.h(0))
-        state.apply_two_qubit(gates.cnot(0, 1))
+        state.apply(gates.h(0))
+        state.apply(gates.cnot(0, 1))
         before = state.to_statevector()
         state.orthonormalize(TruncationPolicy(sigma_rel=1e-6))
         assert overlap_error(state.to_statevector(), before) <= 1e-10
 
     def test_cap_policy_records_events(self):
         state = TtnState.basis_state(two_leaf(), [0, 0])
-        state.apply_single_qubit(gates.h(0))
-        state.apply_two_qubit(gates.cnot(0, 1), TruncationPolicy(d_max=1))
+        state.apply(gates.h(0))
+        state.apply(gates.cnot(0, 1), TruncationPolicy(d_max=1))
         assert state.cap_events >= 1
         assert state.edge_dim(1) == 1
 
@@ -374,7 +369,7 @@ class TestOrthonormalize:
         # SWAP has operator Schmidt rank 4, but SWAP|00> = |00> is a product
         # state, so both leaf edges must come back to 1
         state = TtnState.basis_state(perfect_tree(2, 1), [0, 0])
-        state.apply_two_qubit(gates.swap(0, 1))
+        state.apply(gates.swap(0, 1))
         assert [state.edge_dim(1), state.edge_dim(2)] == [1, 1]
         assert np.allclose(state.to_statevector(), [1, 0, 0, 0], atol=1e-12)
 
@@ -385,7 +380,7 @@ class TestOrthonormalize:
         rng = np.random.default_rng(23)
         policy = TruncationPolicy(sigma_rel=1e-8)
         for qa, qb in ((0, n - 1), (1, n - 2), (0, n // 2)):
-            state.apply_two_qubit(Gate("u2", (qa, qb), haar_unitary(4, rng)), policy)
+            state.apply(Gate("u2", (qa, qb), haar_unitary(4, rng)), policy)
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
         state.orthonormalize(policy)  # the whole-tree sweep walks the comb too
@@ -459,13 +454,13 @@ class TestStateReadout:
     def test_copy_is_independent(self):
         state = TtnState.basis_state(two_leaf(), [0, 0])
         clone = state.copy()
-        state.apply_single_qubit(gates.x(0))
+        state.apply(gates.x(0))
         assert np.allclose(clone.to_statevector(), [1, 0, 0, 0])
 
     def test_readout_leaves_no_reference_cycle(self):
         # with the collector off, only reference counting can free the state
         state = TtnState.basis_state(perfect_tree(2, 2), [0, 1, 1, 0])
-        state.apply_two_qubit(gates.cnot(0, 3))
+        state.apply(gates.cnot(0, 3))
         alive = weakref.ref(state)
         enabled = gc.isenabled()
         gc.disable()

@@ -21,7 +21,7 @@ from ttnsim.errors import MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary, split_gate
 from ttnsim.statevector import apply_gate, fidelity, sv_simulate
 from ttnsim.tensors import EXACT, RANK_TOL, SvdFactors, TruncationPolicy, qr_econ, svd_econ
-from ttnsim.topology import comb_topology, perfect_tree
+from ttnsim.topology import TreeTopology, comb_topology, perfect_tree
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import TtnState
 
@@ -221,7 +221,7 @@ def check_gate_sweeps(circuit, topo, policy):
         ref = state.copy()
         exact = apply_gate(state.to_statevector(), g, circuit.num_qubits)
         dims = [state.edge_dim(edge) for edge in range(topo.num_nodes)]
-        state.apply_two_qubit(g, policy)
+        state.apply(g, policy)
         lca = reference_gate(ref, g, policy)
         untouched = {edge: dims[edge] for edge in topo.ancestors(lca)[:-1]}
         assert_same_sweep(state, ref, policy, untouched, exact)
@@ -311,7 +311,7 @@ class TestSweepProperties:
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
         for g in circuit.gates:
             ref = state.copy()
-            state.apply_two_qubit(g)
+            state.apply(g)
             reference_gate(ref, g, EXACT)
             assert_same_sweep(state, ref, EXACT)
         assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
@@ -324,7 +324,7 @@ class TestSweepProperties:
         circuit, topo = case
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
         for g in circuit.gates[:-1]:
-            state.apply_two_qubit(g)
+            state.apply(g)
         ref = state.copy()
         state.thread_two_qubit(circuit.gates[-1])
         reference_thread(ref, circuit.gates[-1])
@@ -354,3 +354,34 @@ class TestSweepProperties:
             path = state.thread_two_qubit(g)
             state.orthonormalize(policy, nodes=path)
             assert state.peak <= price
+
+
+def check_readout(circuit, topo):
+    """The read-out against the dense oracle; it must leave the state's
+    tensors (the same objects, the same bytes) and center as they were."""
+    state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
+    for g in circuit.gates:
+        state.apply(g)
+    tensors, center = list(state.tensors), state.center
+    data = [t.tobytes() for t in tensors]
+    assert np.abs(state.to_statevector() - sv_simulate(circuit)).max() <= 1e-12
+    assert all(a is b for a, b in zip(state.tensors, tensors, strict=True))
+    assert [t.tobytes() for t in state.tensors] == data
+    assert state.center == center
+
+
+class TestReadout:
+    @settings(max_examples=100)
+    @given(trees_and_circuits())
+    def test_readout_matches_oracle_and_keeps_the_state(self, case):
+        check_readout(*case)
+
+    def test_one_leaf_tree(self):
+        rng = np.random.default_rng(5)
+        check_readout(Circuit(1, [Gate("u1", (0,), haar_unitary(2, rng))]), TreeTopology(0))
+
+    def test_comb(self):
+        rng = np.random.default_rng(6)
+        circuit = Circuit(6, [_two_qubit_gate("haar", qa, qb, rng)
+                              for qa, qb in ((0, 5), (2, 3), (4, 1), (5, 2), (1, 0))])
+        check_readout(circuit, comb_topology([3, 0, 5, 1, 4, 2]))
