@@ -5,7 +5,7 @@ neither wall-clock timings nor file paths: the simulate CSV names the circuit
 by the sha256 of its canonical text, so it does not depend on the directory the
 files are in. Timings and the circuit path as typed live only in the JSON run
 records. Exit codes: 0 success, 2 validation error, 3 numerical failure,
-4 memory cap exceeded.
+4 memory cap exceeded or host memory exhausted below it.
 """
 
 import argparse
@@ -28,7 +28,9 @@ from .treesearch import default_cluster_count, find_tree_structure
 
 MEMORY_CAP_HELP = ("exit 4 when the state would need more complex entries than this; for "
                    "mps these are the comb's tensors (a spine node and a leaf per site), "
-                   "not the site-fused m_entries")
+                   "not the site-fused m_entries. The default, 2^31 entries (32 GiB), does "
+                   "not protect a host with less memory: a run that exhausts host memory "
+                   "below the cap exits 4 too")
 SIMULATE_CSV_HEADER = ("engine,circuit,num_qubits,num_gates,sigma_rel,dmax,seed,"
                        "d_max_observed,m_entries,cap_events,fidelity")
 DRYRUN_CSV_HEADER = "edge_id,level,dim"
@@ -339,6 +341,10 @@ def main(argv=None) -> int:
         return 3
     except MemoryCapExceeded as exc:
         print(f"memory cap exceeded: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("out of memory: host memory ran out below --memory-cap; lower the cap",
+              file=sys.stderr)
         return 4
 
 

@@ -190,7 +190,10 @@ class AdmissibilityReport:
 def admissible(circuit: Circuit, tree: TreeTopology, d_max: int) -> AdmissibilityReport:
     """Check the crossing-product condition prod(k_G) <= d_max on every
     restricted edge. `d_max` is an integer (numpy's too; not a float or a
-    bool) of at least 2."""
+    bool) of at least 2; None is rejected too, as a budget has no uncapped
+    meaning."""
+    if d_max is None:
+        raise ValueError("d_max must be an integer of at least 2, got None (no budget)")
     check_rank_cap(d_max, "d_max")
     arity = max(tree.max_arity, 2)
     lc = l_cluster(arity, d_max)

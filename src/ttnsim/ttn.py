@@ -27,8 +27,13 @@ The sweep is the same for every truncation policy, the reveal: the center
 walks to each touched leaf in turn and back, and each edge it descends is
 split by SVD against the state's true Schmidt spectrum. Exact mode keeps
 each edge at its Schmidt rank there, and a truncating policy cuts there.
-The whole-tree sweep walks the center to the root first and reveals every
-leaf.
+The one exception is a binary root's second edge. The root's parent axis
+has dimension 1, so both its edges cut the state the same way, and the
+split of the first already revealed that spectrum: the walk across the
+root descends the second gauge-only, which leaves it at the first edge's
+dimension: the Schmidt rank in exact mode, the first edge's cut under a
+truncating policy. The whole-tree sweep walks the center to the root first
+and reveals every leaf.
 
 Every step of all this is one operation, a matrix contracted into one axis
 of a node (`TtnState._contract`): a one-qubit gate into its leaf's physical
@@ -251,11 +256,22 @@ class TtnState:
         (`TreeTopology.path`), one `_move` per edge: gauge-only while it
         climbs to the lowest common ancestor of the two, then gauge-only or,
         under `policy`, by SVD (the sweep's reveal) while it descends. Edge
-        dimensions never grow."""
-        up, _, down = self.tree.path(self.center, target)
+        dimensions never grow.
+
+        A walk that crosses a binary root from one child's side to the
+        other's descends into the second child gauge-only. Both root edges
+        cut the state the same way (the root's parent axis has dimension
+        1), and in a reveal the walk's earlier descent split the first
+        edge by SVD: the root is then a (keep x d) matrix of full row rank
+        with keep <= d, so the gauge move leaves the second edge at keep
+        (the Schmidt rank in exact mode), and a second SVD would only
+        re-derive the spectrum."""
+        up, top, down = self.tree.path(self.center, target)
         parent = self.tree.parent
         for node in up:
             self._move(node, parent[node])
+        if up and down and top == 0 and len(self.tree.children[0]) == 2:
+            self._move(top, down.pop())
         for child in reversed(down):
             self._move(parent[child], child, policy)
         self.center = target
@@ -271,9 +287,13 @@ class TtnState:
         the leaves' lowest common ancestor, so each edge on the way is split
         once, by SVD against the state's true Schmidt spectrum: exact mode
         drops only numerically zero values, so every edge ends at its
-        Schmidt rank, and a truncating policy cuts there. No edge ends above
-        its threaded dimension; the center is rescaled to unit norm at the
-        end.
+        Schmidt rank, and a truncating policy cuts there. The exception is
+        a binary root's second edge, moved gauge-only after the first root
+        edge's split (`_move_center`), which keeps it at the Schmidt rank;
+        so the leaves must lie below the center, as a thread's do, and no
+        walk crosses the root before one has descended from it. No edge
+        ends above its threaded dimension; the center is rescaled to unit
+        norm at the end.
         """
         if nodes is None:
             self._move_center(0)

@@ -167,6 +167,17 @@ class TestSimulate:
         assert run(["simulate", "--circuit", circ, "--engine", "ttn"]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_host_out_of_memory_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a host with less memory than --memory-cap allows: no real allocation
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        circ = tmp_path / "c.json"
+        run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
+        monkeypatch.setattr(ttn.TtnState, "apply", fail)
+        assert run(["simulate", "--circuit", circ, "--engine", "ttn"]) == 4
+        assert "host memory ran out below --memory-cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, code", [(["--cap", 3], 2), (["--memory-cap", 15], 4),
                                              (["--cap", 4, "--memory-cap", 16], 0)])
     def test_statevector_enforces_caps(self, tmp_path, flags, code):

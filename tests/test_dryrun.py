@@ -243,6 +243,12 @@ class TestAdmissible:
         with pytest.raises(ValueError, match=message):
             admissible(c, find_tree_structure(c, 3), d_max)
 
+    def test_budget_required(self):
+        # None means "no cap" to the engines; a budget has no uncapped meaning
+        c = gen_lattice(3, 6, 1)
+        with pytest.raises(ValueError, match="got None"):
+            admissible(c, find_tree_structure(c, 3), None)
+
     def test_numpy_integer_budget_accepted(self):
         c = gen_lattice(3, 6, 1)
         topo = find_tree_structure(c, 3)

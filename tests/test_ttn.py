@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ttnsim import gates, ttn
-from ttnsim.circuits import Circuit
+from ttnsim.circuits import Circuit, gen_lattice
 from ttnsim.errors import FactorizationError, MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary
 from ttnsim.statevector import fidelity, overlap_error, sv_simulate
@@ -274,26 +274,68 @@ class TestMixedCanonicalForm:
                 moves.clear()
                 yield state, state.thread_two_qubit(g), moves
 
+    @staticmethod
+    def second_root_edge(tree):
+        """The root's second child edge when the root is binary, else None:
+        both root edges then cut the same bipartition."""
+        children = tree.children[0]
+        return children[1] if len(children) == 2 else None
+
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_sweep_splits_each_path_edge_once(self, shape, policy, monkeypatch):
         # the reveal walks the center to each touched leaf and back: every
-        # edge on the gate's path is split exactly once, and no other edge
+        # edge on the gate's path is split exactly once, and no other edge,
+        # except a binary root's second child edge when the gate turns at
+        # that root: the walk across the root moves it gauge-only, once, as
+        # the first root edge's split already revealed that bipartition
+        turned = 0
         for state, path, moves in self.threaded_gates(shape, monkeypatch):
+            second = self.second_root_edge(state.tree)
+            gauged = second if state.center == 0 else None
+            start = len(moves)
             state.orthonormalize(policy, nodes=path)
-            assert sorted(edge for kind, _, edge in moves if kind == "split") == sorted(path)
+            split = sorted(edge for kind, _, edge in moves if kind == "split")
+            assert split == sorted(nid for nid in path if nid != gauged)
+            assert moves[start:].count(("gauge", "down", second)) == (gauged is not None)
+            turned += gauged is not None
+        assert turned
 
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_whole_tree_sweep_splits_every_edge_once(self, shape, policy, monkeypatch):
         # the whole-tree sweep walks the center to the root by gauge moves,
-        # then reveals every leaf from there: each edge is split exactly once
-        # and the center ends at the root
+        # then reveals every leaf from there: each edge is split exactly
+        # once, except a binary root's second child edge, which is moved
+        # gauge-only once, and the center ends at the root
+        binary = 0
         for state, _, moves in self.threaded_gates(shape, monkeypatch):
+            second = self.second_root_edge(state.tree)
+            start = len(moves)
             state.orthonormalize(policy)
             split = sorted(edge for kind, _, edge in moves if kind == "split")
-            assert split == list(range(1, state.tree.num_nodes))
+            assert split == [nid for nid in range(1, state.tree.num_nodes) if nid != second]
+            assert moves[start:].count(("gauge", "down", second)) == (second is not None)
             assert state.center == 0
+            binary += second is not None
+        assert binary
+
+    def test_grid_pass_svd_count(self, monkeypatch):
+        # one criterion-8 grid pass: 640 SVDs; each of the 8 gates (of 48)
+        # that turn at the binary root saves one per policy (680 with a
+        # second root split)
+        calls = []
+
+        def counted(*args, _f=ttn.svd_econ, **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(ttn, "svd_econ", counted)
+        c = gen_lattice(4, 8, 100)
+        topo = find_tree_structure(c, 2)
+        for sigma_rel in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+            run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
+        assert len(calls) == 640
 
     def test_memory_cap_mid_circuit_leaves_state_canonical(self):
         rng = np.random.default_rng(37)

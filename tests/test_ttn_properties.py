@@ -214,6 +214,20 @@ def trees_and_circuits(draw):
     return circuit, comb_topology(draw(st.permutations(range(n))))
 
 
+@st.composite
+def binary_root_trees_and_circuits(draw):
+    """Trees whose root has two children: binary perfect trees, combs and
+    planner trees with 2 clusters."""
+    shape = draw(st.sampled_from(["perfect", "comb", "planner"]))
+    if shape == "perfect":
+        height = draw(st.integers(1, 3))
+        return draw(circuits(2**height)), perfect_tree(2, height)
+    circuit = draw(circuits())
+    if shape == "planner":
+        return circuit, find_tree_structure(circuit, 2)
+    return circuit, comb_topology(draw(st.permutations(range(circuit.num_qubits))))
+
+
 def check_gate_sweeps(circuit, topo, policy):
     """Each gate's sweep against the reference gate from the same state."""
     state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
@@ -354,6 +368,35 @@ class TestSweepProperties:
             path = state.thread_two_qubit(g)
             state.orthonormalize(policy, nodes=path)
             assert state.peak <= price
+
+
+def assert_root_edges_at_schmidt_rank(state):
+    """Both edges of a binary root at the state's Schmidt rank across them,
+    in canonical form."""
+    first, second = state.tree.children[0]
+    spectrum = schmidt_values(state.to_statevector(), state.tree, second)
+    rank = np.count_nonzero(spectrum > 1e-10 * spectrum[0])
+    assert state.edge_dim(second) == state.edge_dim(first) == rank
+    assert state.canonical_deviation() <= 1e-10
+
+
+class TestBinaryRoot:
+    @settings(max_examples=150)
+    @given(binary_root_trees_and_circuits())
+    def test_second_root_edge_keeps_the_schmidt_rank(self, case):
+        # the reveal moves a binary root's second edge gauge-only, after the
+        # first root edge's split; in exact mode it must still land on the
+        # Schmidt rank, after each gate and after a whole-tree sweep
+        circuit, topo = case
+        assert len(topo.children[0]) == 2
+        state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
+        for g in circuit.gates[:-1]:
+            state.apply(g)
+            assert_root_edges_at_schmidt_rank(state)
+        state.thread_two_qubit(circuit.gates[-1])
+        state.orthonormalize(EXACT)
+        assert_root_edges_at_schmidt_rank(state)
+        assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
 
 
 def check_readout(circuit, topo):
