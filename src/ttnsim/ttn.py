@@ -8,32 +8,37 @@ an isometry onto the axis that points towards the center (its parent axis,
 unless the center lies below it), so the global norm is the center tensor's.
 
 A two-qubit gate first carries the center, by gauge-only moves along the
-tree, to its turning node (the lowest common ancestor of its two leaves).
-The gate is then Schmidt-split, its two factors absorbed into the target
-leaves, and its rank-k bond threaded through every node on the tree path
-between them. The identity connectors that carry the bond (the turning node,
-the center, takes the compensating 1/sqrt(k) and keeps its norm) are never
-built: threading gauges the path below the turning node into the center,
-children first, and contracts each child's remainder through its connector
-as it goes into the parent. The bond index is fused as the major part of
-every axis it joins, so contracting a connector is the plain contraction
-plus one axis move. So every public method leaves the state canonical, and
-only the path below the turning node needs its edges re-split. A gate
-inside a subtree cannot change the Schmidt spectrum across any edge at or
-above its turning node, and nothing there is touched: on a comb (the MPS) a
-nearest-neighbour gate costs the same at every site.
+tree, towards its turning node (the lowest common ancestor of its two
+leaves), but only up to the first node of the tree path between them. The
+gate is then Schmidt-split, its two factors absorbed into the target
+leaves, and its rank-k bond threaded through every node on that path. The
+identity connectors that carry the bond (the turning node takes the
+compensating 1/sqrt(k)) are never built: threading gauges the path below
+the turning node into it, children first, and contracts each child's
+remainder through its connector as it goes into the parent. Those climbs
+carry the center the rest of the way: a path node needs no isometry before
+it is factored, and every node off the path already points towards the
+path, so towards the turning node. The bond index is fused as the major
+part of every axis it joins, and contracting a connector writes each bond
+slice straight into its place in that axis. So every public method leaves
+the state canonical, and only the path below the turning node needs its
+edges re-split. A gate inside a subtree cannot change the Schmidt spectrum
+across any edge at or above its turning node, and nothing there is
+touched: on a comb (the MPS) a nearest-neighbour gate costs the same at
+every site.
 
 The sweep is the same for every truncation policy, the reveal: the center
-walks to each touched leaf in turn and back, and each edge it descends is
-split by SVD against the state's true Schmidt spectrum. Exact mode keeps
-each edge at its Schmidt rank there, and a truncating policy cuts there.
-The one exception is a binary root's second edge. The root's parent axis
-has dimension 1, so both its edges cut the state the same way, and the
-split of the first already revealed that spectrum: the walk across the
-root descends the second gauge-only, which leaves it at the first edge's
-dimension: the Schmidt rank in exact mode, the first edge's cut under a
-truncating policy. The whole-tree sweep walks the center to the root first
-and reveals every leaf.
+walks to each touched leaf in turn and stays at the last one, and each edge
+it descends is split by SVD against the state's true Schmidt spectrum.
+Exact mode keeps each edge at its Schmidt rank there, and a truncating
+policy cuts there. The one exception is a binary root's second edge. The
+root's parent axis has dimension 1, so both its edges cut the state the
+same way, and the split of the first already revealed that spectrum: the
+walk across the root descends the second gauge-only, which leaves it at
+the first edge's dimension: the Schmidt rank in exact mode, the first
+edge's cut under a truncating policy. The whole-tree sweep walks the center
+to the root first and reveals every leaf, so it ends at the last leaf in
+preorder.
 
 Every step of all this is one operation, a matrix contracted into one axis
 of a node (`TtnState._contract`): a one-qubit gate into its leaf's physical
@@ -111,13 +116,18 @@ class TtnState:
         return self.orthonormalize(policy, nodes=self.thread_two_qubit(g))
 
     def thread_two_qubit(self, g: Gate) -> list[int]:
-        """Move the center to the gate's turning node, split the gate and
-        thread its bond along the leaf-leaf path.
+        """Split the gate, thread its bond along the leaf-leaf path and
+        leave the center at the gate's turning node.
 
-        Leaves absorb the gate factors (the new bond index is fused into
-        each leaf's parent axis, major). Then the path nodes below the
-        turning node move the center into it (`_move`), children before
-        parents, and each child's remainder is contracted through the bond's
+        The center first walks (`_move_center`) towards the turning node
+        only until it meets a node of the path (at once if it sits on the
+        path, as after a gate on the same qubits). Leaves absorb the gate
+        factors (the new bond index is fused into each leaf's parent axis,
+        major). Then the path nodes below the turning node move the center
+        into it (`_move`), children before parents: a path node between the
+        center and the turning node is factored whole, whichever way it
+        pointed, and every node off the path already points towards the
+        path. Each child's remainder is contracted through the bond's
         identity connector on its edge as it goes into the parent
         (`_contract`), so the k-fold larger connector tensors never exist.
         Below a pass-through node the connector ties the child's edge to the
@@ -137,7 +147,11 @@ class TtnState:
         qa, qb = g.qubits
         g_a, g_b, k = split_gate(g)
         up_a, lca, up_b = self.tree.path_between(qa, qb)
-        self._move_center(lca)
+        # threading's climbs carry the center from any path node to the
+        # turning node, so it walks only to the first path node it meets
+        up, _, down = self.tree.path(self.center, lca)
+        on_path = set(up_a + up_b)
+        self._move_center(lca if down else next((n for n in up if n in on_path), lca))
 
         affected = (self.tensors[up_a[0]].size + self.tensors[up_b[0]].size) * k
         affected += sum(self.tensors[n].size for n in up_a[1:] + up_b[1:] + [lca]) * k * k
@@ -161,6 +175,7 @@ class TtnState:
             else:
                 tie = (len(self.tree.children[self.tree.parent[nid]]), k)  # parent axis
             self._move(nid, self.tree.parent[nid], tie=tie)
+        self.center = lca
         return up_a + up_b
 
     # -- canonical form -----------------------------------------------------
@@ -224,32 +239,54 @@ class TtnState:
         is contracted over d alone, and k becomes the major part of the
         node's axis `tied`. That is its parent axis below a pass-through
         node; below the turning node it is the other path child's axis, and
-        a tie to any axis but the parent's carries the 1/sqrt(k).
+        a tie to any axis but the parent's carries the 1/sqrt(k), folded
+        into the smaller of the two operands. The node's new tensor is
+        allocated once, and one matmul over the k bond slices writes each
+        slice into its place there: no axis move, and no copy of the result.
         """
         t = self.tensors[nid]
         new = remainder.shape[0]
-        if tie is not None:
-            tied, k = tie
-            if tied != t.ndim - 1:
-                remainder = remainder / math.sqrt(k)
-            remainder = remainder.reshape(new * k, -1)  # old edge (k, d): k joins the rows
-        # on (before, edge, after) stacks one matmul replaces the edge axis
-        # in place; with after = 1 (a parent axis, or the root's last child)
-        # that would be one matrix-vector product per row, so take one
-        # matrix product instead
-        stacked = t.reshape(math.prod(t.shape[:axis]), t.shape[axis], -1)
-        if stacked.shape[2] == 1:
-            merged = stacked[:, :, 0] @ remainder.T
-        else:
-            merged = remainder @ stacked
         if tie is None:
+            # on (before, edge, after) stacks one matmul replaces the edge
+            # axis in place; with after = 1 (a parent axis, or the root's
+            # last child) that would be one matrix-vector product per row,
+            # so take one matrix product instead
+            stacked = t.reshape(math.prod(t.shape[:axis]), t.shape[axis], -1)
+            if stacked.shape[2] == 1:
+                merged = stacked[:, :, 0] @ remainder.T
+            else:
+                merged = remainder @ stacked
             self.tensors[nid] = merged.reshape(t.shape[:axis] + (new,) + t.shape[axis + 1:])
             return
-        merged = merged.reshape(t.shape[:axis] + (new, k) + t.shape[axis + 1:])
+        tied, k = tie
+        d = t.shape[axis]
+        slices = remainder.reshape(new, k, d).transpose(1, 0, 2)  # (k, new, d): one per bond index
+        if tied != t.ndim - 1:
+            if slices.size <= t.size:
+                slices = slices / math.sqrt(k)
+            else:
+                t = t / math.sqrt(k)
         shape = list(t.shape)
         shape[axis] = new
         shape[tied] *= k
-        self.tensors[nid] = np.moveaxis(merged, axis + 1, tied).reshape(shape)
+        out = np.empty(shape, np.promote_types(t.dtype, remainder.dtype))
+        # views of `out` split `tied` into (k, rest of `tied`); the axes
+        # between the contracted and the tied one, which k interleaves, are
+        # batch axes of the matmul next to k
+        if tied > axis:  # out: (before, new, mid, k, trail)
+            before, mid = math.prod(t.shape[:axis]), math.prod(t.shape[axis + 1:tied])
+            view = out.reshape(before, new, mid, k, -1).transpose(3, 0, 2, 1, 4)
+            np.matmul(slices[:, None, None], t.reshape(before, d, mid, -1).transpose(0, 2, 1, 3),
+                      out=view)
+        else:  # out: (before, k, span, new, rest), span the axes from `tied` to `axis`
+            before, rest = math.prod(t.shape[:tied]), math.prod(t.shape[axis + 1:])
+            if rest == 1:  # rows (span) from t, so each slice is one matrix product
+                np.matmul(t.reshape(before, 1, -1, d), slices.transpose(0, 2, 1),
+                          out=out.reshape(before, k, -1, new))
+            else:
+                np.matmul(slices[:, None], t.reshape(before, 1, -1, d, rest),
+                          out=out.reshape(before, k, -1, new, rest))
+        self.tensors[nid] = out
 
     def _move_center(self, target: int, policy: TruncationPolicy | None = None):
         """Carry the orthogonality center to `target` along the tree path
@@ -265,7 +302,9 @@ class TtnState:
         edge by SVD: the root is then a (keep x d) matrix of full row rank
         with keep <= d, so the gauge move leaves the second edge at keep
         (the Schmidt rank in exact mode), and a second SVD would only
-        re-derive the spectrum."""
+        re-derive the spectrum. A reveal starts at a center above its
+        leaves, so its first walk never crosses the root side to side;
+        `orthonormalize` checks that."""
         up, top, down = self.tree.path(self.center, target)
         parent = self.tree.parent
         for node in up:
@@ -283,29 +322,33 @@ class TtnState:
         the root (`_move_center`) and every leaf is revealed.
 
         The center walks under the policy (`_move_center`) to each leaf, in
-        ascending (preorder) id order, and back. Consecutive walks meet at
-        the leaves' lowest common ancestor, so each edge on the way is split
-        once, by SVD against the state's true Schmidt spectrum: exact mode
-        drops only numerically zero values, so every edge ends at its
-        Schmidt rank, and a truncating policy cuts there. The exception is
-        a binary root's second edge, moved gauge-only after the first root
-        edge's split (`_move_center`), which keeps it at the Schmidt rank;
-        so the leaves must lie below the center, as a thread's do, and no
-        walk crosses the root before one has descended from it. No edge
-        ends above its threaded dimension; the center is rescaled to unit
-        norm at the end.
+        ascending (preorder) id order, and stays at the last one. Consecutive
+        walks meet at the leaves' lowest common ancestor, so each edge on
+        the way is split once, by SVD against the state's true Schmidt
+        spectrum: exact mode drops only numerically zero values, so every
+        edge ends at its Schmidt rank, and a truncating policy cuts there.
+        The exception is a binary root's second edge, moved gauge-only after
+        the first root edge's split (`_move_center`), which keeps it at the
+        Schmidt rank; so the leaves must lie below the center, as a thread's
+        do, and no walk crosses the root before one has descended from it.
+        Raises ValueError, before any move, for a leaf that does not. No
+        edge ends above its threaded dimension; the center, at the last
+        revealed leaf, is rescaled to unit norm at the end.
         """
         if nodes is None:
             self._move_center(0)
-            nodes = range(self.tree.num_nodes)
-        center = self.center
-        for leaf in sorted(nid for nid in nodes if self.tree.is_leaf(nid)):
+            leaves = [nid for nid in range(self.tree.num_nodes) if self.tree.is_leaf(nid)]
+        else:
+            leaves = sorted(nid for nid in nodes if self.tree.is_leaf(nid))
+            for leaf in leaves:
+                if self.tree.path(leaf, self.center)[2]:
+                    raise ValueError(f"leaf {leaf} does not lie below the center {self.center}")
+        for leaf in leaves:
             self._move_center(leaf, policy)
-        self._move_center(center)
-        nrm = np.linalg.norm(self.tensors[center])
+        nrm = np.linalg.norm(self.tensors[self.center])
         if nrm == 0:
             raise FactorizationError("state collapsed to zero norm")
-        self.tensors[center] = self.tensors[center] / nrm
+        self.tensors[self.center] = self.tensors[self.center] / nrm
         return self
 
     def canonical_deviation(self) -> float:

@@ -1,4 +1,7 @@
 import gc
+import itertools
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -235,7 +238,8 @@ class TestMixedCanonicalForm:
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     def test_gate_under_the_center_leaves_the_tree_above_alone(self, policy, monkeypatch):
         # a second gate with the same turning node neither splits nor gauges
-        # any edge at or above it
+        # any edge at or above it; each gate leaves the center at the leaf
+        # it revealed last, the higher preorder id of its two
         rng = np.random.default_rng(31)
         state = run_circuit(random_circuit(rng, 8, 30, p_single=0.0), perfect_tree(2, 3))
         first = Gate("u2", (0, 3), haar_unitary(4, rng))
@@ -243,13 +247,13 @@ class TestMixedCanonicalForm:
         lca = state.tree.path_between(0, 3)[1]
         assert state.tree.path_between(1, 2)[1] == lca
         state.apply(first, policy)
-        assert state.center == lca
+        assert state.center == state.tree.qubit_node[3]
         above = set(state.tree.ancestors(lca))  # edges at or above, by child
         moves = record_moves(monkeypatch)
         state.apply(second, policy)
         assert moves and not [m for m in moves if m[2] in above]
         assert not [m for m in moves if m[:2] == ("gauge", "down")]
-        assert state.center == lca and state.canonical_deviation() < 1e-10
+        assert state.center == state.tree.qubit_node[2] and state.canonical_deviation() < 1e-10
 
     @staticmethod
     def threaded_gates(shape, monkeypatch):
@@ -307,7 +311,8 @@ class TestMixedCanonicalForm:
         # the whole-tree sweep walks the center to the root by gauge moves,
         # then reveals every leaf from there: each edge is split exactly
         # once, except a binary root's second child edge, which is moved
-        # gauge-only once, and the center ends at the root
+        # gauge-only once, and the center ends at the last leaf revealed,
+        # the last node in preorder
         binary = 0
         for state, _, moves in self.threaded_gates(shape, monkeypatch):
             second = self.second_root_edge(state.tree)
@@ -316,7 +321,7 @@ class TestMixedCanonicalForm:
             split = sorted(edge for kind, _, edge in moves if kind == "split")
             assert split == [nid for nid in range(1, state.tree.num_nodes) if nid != second]
             assert moves[start:].count(("gauge", "down", second)) == (second is not None)
-            assert state.center == 0
+            assert state.center == state.tree.num_nodes - 1
             binary += second is not None
         assert binary
 
@@ -336,6 +341,43 @@ class TestMixedCanonicalForm:
         for sigma_rel in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
             run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
         assert len(calls) == 640
+
+    def test_grid_pass_qr_count(self, monkeypatch):
+        # the same pass takes 240 QRs: the center walks towards a gate only
+        # up to its path, and a reveal does not walk back (290 with both
+        # walks going all the way to the turning node)
+        calls = []
+
+        def counted(*args, _f=ttn.qr_econ, **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(ttn, "qr_econ", counted)
+        c = gen_lattice(4, 8, 100)
+        topo = find_tree_structure(c, 2)
+        for sigma_rel in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+            run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
+        assert len(calls) == 240
+
+    @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
+    def test_gate_at_the_last_revealed_leaf_threads_without_a_walk(self, shape, monkeypatch):
+        # a gate leaves the center at the leaf it revealed last, so the next
+        # gate on that leaf's qubit, with the same partner (in either order)
+        # or another, moves nothing before threading: its only moves are
+        # threading's climbs, one gauge move up per path node, children first
+        rng = np.random.default_rng(47)
+        for state, path, moves in self.threaded_gates(shape, monkeypatch):
+            state.orthonormalize(EXACT, nodes=path)
+            tree = state.tree
+            last, first = sorted((n for n in path if tree.is_leaf(n)), reverse=True)
+            assert state.center == last
+            others = [q for q in range(tree.num_qubits) if tree.qubit_node[q] != last]
+            for partner in (tree.leaf_qubit[first], others[int(rng.integers(len(others)))]):
+                g = Gate("u2", (partner, tree.leaf_qubit[last]), haar_unitary(4, rng))
+                moves.clear()
+                again = state.thread_two_qubit(g)
+                assert moves == [("gauge", "up", nid) for nid in sorted(again, reverse=True)]
+                state.orthonormalize(EXACT, nodes=again)
 
     def test_memory_cap_mid_circuit_leaves_state_canonical(self):
         rng = np.random.default_rng(37)
@@ -415,6 +457,25 @@ class TestOrthonormalize:
         assert [state.edge_dim(1), state.edge_dim(2)] == [1, 1]
         assert np.allclose(state.to_statevector(), [1, 0, 0, 0], atol=1e-12)
 
+    def test_reveal_needs_its_leaves_below_the_center(self):
+        # the binary-root gauge step relies on every revealed leaf lying
+        # below the center; after a gate the center rests at a leaf, so a
+        # reveal of any other leaf from there is refused before any move
+        rng = np.random.default_rng(61)
+        state = run_circuit(random_circuit(rng, 8, 20, p_single=0.0), perfect_tree(2, 3))
+        center, tensors = state.center, list(state.tensors)
+        assert state.tree.is_leaf(center)
+        other = next(n for n in range(state.tree.num_nodes) if state.tree.is_leaf(n) and n != center)
+        for nodes in ([other], [center, other], [other, state.tree.parent[center]]):
+            with pytest.raises(ValueError, match="below the center"):
+                state.orthonormalize(EXACT, nodes=nodes)
+            assert state.center == center
+            assert all(a is b for a, b in zip(state.tensors, tensors, strict=True))
+        before = state.to_statevector()
+        state.orthonormalize(EXACT, nodes=[center])  # the center's own leaf: nothing to walk
+        assert state.center == center
+        assert np.allclose(state.to_statevector(), before, atol=1e-12)
+
     def test_deep_comb_without_recursion(self):
         # deeper than the interpreter's default recursion limit
         n = 1500
@@ -426,9 +487,69 @@ class TestOrthonormalize:
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
         state.orthonormalize(policy)  # the whole-tree sweep walks the comb too
-        assert state.center == 0
+        assert state.center == state.tree.qubit_node[n - 1]  # the last leaf revealed
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
+
+
+def tied_reference(t, axis, remainder, tied, k):
+    """The tied contraction by einsum: the remainder's old edge (k, d) is
+    contracted over d with `axis`, k becomes the major part of `tied`, and a
+    tie to any axis but the parent's carries 1/sqrt(k)."""
+    letters = "ABCDE"[:t.ndim]
+    out = letters.replace(letters[axis], "n")
+    out = out[:tied] + "k" + out[tied:]
+    merged = np.einsum(f"nkd,{letters.replace(letters[axis], 'd')}->{out}",
+                       remainder.reshape(remainder.shape[0], k, t.shape[axis]), t)
+    shape = list(t.shape)
+    shape[axis] = remainder.shape[0]
+    shape[tied] *= k
+    scale = 1.0 if tied == t.ndim - 1 else 1 / math.sqrt(k)
+    return scale * merged.reshape(shape)
+
+
+class TestContract:
+    @pytest.mark.parametrize("ndim", [2, 3, 4, 5])
+    def test_tie_matches_einsum_for_every_axis_pair(self, ndim):
+        # ties into the parent axis or another child's, before or after the
+        # contracted axis, with dimension-1 axes and k = 1 among the draws
+        rng = np.random.default_rng([67, ndim])
+        for axis, tied in itertools.permutations(range(ndim), 2):
+            for _ in range(4):
+                shape = tuple(int(x) for x in rng.integers(1, 5, ndim))
+                k, new = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+                t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                remainder = (rng.normal(size=(new, k * shape[axis]))
+                             + 1j * rng.normal(size=(new, k * shape[axis])))
+                state = TtnState(two_leaf(), [t])
+                state._contract(0, axis, remainder, (tied, k))
+                got, want = state.tensors[0], tied_reference(t, axis, remainder, tied, k)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("shape, axis, tied, new", [
+        ((256, 256, 1), 1, 0, 256),   # the criterion-8 grid's root, tied to the other child
+        ((64, 2, 2, 256), 0, 3, 64),  # a pass-through node, tied to its parent axis
+        ((32, 64, 16), 1, 0, 16),     # tied to the other child, a parent axis after it
+    ])
+    def test_tie_allocates_the_output_and_at_most_the_smaller_input(self, shape, axis, tied,
+                                                                    new):
+        # no transient as large as the output: besides it, only a tie off
+        # the parent axis copies one operand, the smaller, to scale it
+        k = 4
+        rng = np.random.default_rng(71)
+        t = rng.normal(size=shape) + 0j
+        remainder = rng.normal(size=(new, k * shape[axis])) + 0j
+        state = TtnState(two_leaf(), [t])
+        tracemalloc.start()
+        try:
+            state._contract(0, axis, remainder, (tied, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scaled = 0 if tied == t.ndim - 1 else min(t.nbytes, remainder.nbytes)
+        assert peak <= state.tensors[0].nbytes + scaled + 64 * 1024
+        assert np.allclose(state.tensors[0], tied_reference(t, axis, remainder, tied, k))
 
 
 class TestMetrics:

@@ -370,6 +370,20 @@ class TestSweepProperties:
             assert state.peak <= price
 
 
+class TestCenter:
+    @settings(max_examples=100)
+    @given(trees_and_circuits(), st.sampled_from(POLICIES))
+    def test_gate_leaves_the_center_at_its_last_revealed_leaf(self, case, policy):
+        # the reveal ends at the higher preorder id of the gate's two leaves
+        # and does not walk back; the next gate walks from there
+        circuit, topo = case
+        state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
+        for g in circuit.gates:
+            state.apply(g, policy)
+            assert state.center == max(topo.qubit_node[q] for q in g.qubits)
+            assert state.canonical_deviation() <= 1e-10
+
+
 def assert_root_edges_at_schmidt_rank(state):
     """Both edges of a binary root at the state's Schmidt rank across them,
     in canonical form."""
