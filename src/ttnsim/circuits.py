@@ -18,6 +18,7 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
+        self.num_qubits = doc_int(self.num_qubits, "num_qubits")
         if self.num_qubits < 1:
             raise ValueError("a circuit needs at least one qubit")
         for g in self.gates:

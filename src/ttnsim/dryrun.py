@@ -15,6 +15,7 @@ the admissibility check walk the same crossings (`_crossings`), with each
 gate's rank read from its one Schmidt split.
 """
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -223,42 +224,26 @@ _TRI_THETA = 0.9
 _TRI_PHI = 0.6
 
 
-class _TriangleBlock:
-    """One node of the recursive wiring; hands out entry qubits while keeping
-    every sub-block parent edge within its crossing budget."""
-
-    def __init__(self, level: int, base: int, out_gates: list, limit: int, pattern):
-        if level == 1:
-            self.subs = None
-            self.qubits = list(range(base, base + 9))
-            self._next = 0
-            for i in range(9):
-                for j in range(i + 1, 9):
-                    out_gates.append(
-                        gatelib.fsim(_TRI_THETA, _TRI_PHI, base + i, base + j))
-        else:
-            third = 9 * 3 ** (level - 2)
-            self.subs = [
-                _TriangleBlock(level - 1, base + i * third, out_gates, limit, pattern)
-                for i in range(3)
-            ]
-            self.limit = limit
-            self.used = [0, 0, 0]
-            for i, j in pattern:
-                self.used[i] += 1
-                self.used[j] += 1
-                qa = self.subs[i].entry()
-                qb = self.subs[j].entry()
-                out_gates.append(gatelib.fsim(_TRI_THETA, _TRI_PHI, qa, qb))
-
-    def entry(self) -> int:
-        if self.subs is None:
-            q = self.qubits[self._next % 9]
-            self._next += 1
-            return q
-        i = next(idx for idx in range(3) if self.used[idx] < self.limit)
-        self.used[i] += 1
-        return self.subs[i].entry()
+def _triangle_block(level: int, base: int, out_gates: list, limit: int, pattern):
+    """Append one block of the recursive wiring's gates and return an iterator
+    over its entry qubits, which keeps every sub-block parent edge within its
+    crossing budget: a base cluster cycles through its nine qubits, a higher
+    block hands out each sub-block's entries up to its remaining budget."""
+    if level == 1:
+        for i in range(9):
+            for j in range(i + 1, 9):
+                out_gates.append(gatelib.fsim(_TRI_THETA, _TRI_PHI, base + i, base + j))
+        return itertools.cycle(range(base, base + 9))
+    third = 9 * 3 ** (level - 2)
+    subs = [_triangle_block(level - 1, base + i * third, out_gates, limit, pattern)
+            for i in range(3)]
+    used = [0, 0, 0]
+    for i, j in pattern:
+        used[i] += 1
+        used[j] += 1
+        out_gates.append(gatelib.fsim(_TRI_THETA, _TRI_PHI, next(subs[i]), next(subs[j])))
+    return itertools.chain.from_iterable(
+        itertools.islice(sub, limit - n) for sub, n in zip(subs, used))
 
 
 def gen_triangle_pattern(levels: int, d_max: int) -> tuple[Circuit, TreeTopology]:
@@ -280,7 +265,7 @@ def gen_triangle_pattern(levels: int, d_max: int) -> tuple[Circuit, TreeTopology
         raise ValueError("d_max must be 16 or 64")
     num_qubits = 9 * 3 ** (levels - 1)
     out_gates: list = []
-    _TriangleBlock(levels, 0, out_gates, limit, pattern)
+    _triangle_block(levels, 0, out_gates, limit, pattern)
     circuit = Circuit(num_qubits, out_gates)
     return circuit, perfect_tree(3, levels + 1)
 

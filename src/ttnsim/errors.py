@@ -1,6 +1,7 @@
 """Failure modes that callers are expected to handle explicitly."""
 
 import json
+import numbers
 
 
 class FactorizationError(RuntimeError):
@@ -16,6 +17,7 @@ class MemoryCapExceeded(RuntimeError):
 
 # Document checks the circuit and topology loaders share: a file of the wrong
 # shape is a ValueError, which the CLI maps to exit 2, never a TypeError.
+# `Gate` and `Circuit` check their qubits and qubit count with `doc_int` too.
 
 
 def doc_loads(text: str):
@@ -35,7 +37,10 @@ def doc_field(obj, key: str, kind=object):
 
 
 def doc_int(value, what: str) -> int:
-    """`value` if it is an integer: a float or a bool is not rounded to one."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """`value` as an int if it is an integer (numpy's too): a float or a
+    bool is not rounded to one."""
+    if type(value) is int:  # the common case, without the slower ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)

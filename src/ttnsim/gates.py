@@ -9,6 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import doc_int
 from .tensors import svd_econ
 
 # Relative cutoff separating the genuinely nonzero singular values of a split
@@ -31,7 +32,7 @@ class Gate:
     matrix: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(doc_int(q, "a gate qubit") for q in self.qubits))
         matrix = np.array(self.matrix, dtype=np.complex128, order="C")  # always a copy
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -177,8 +178,9 @@ def split_gate(g: Gate) -> tuple[np.ndarray, np.ndarray, int]:
 
         sum_a kron(g_a[:, :, a], g_b[:, :, a]) == sqrt(k) * g.matrix
 
-    and the compensating 1/sqrt(k) is placed on the tree's turning node by
-    the engines, leaving pass-through tensors isometric. The split is
+    and the engines scale `g_a` by the compensating 1/sqrt(k) as its leaf
+    absorbs it, so every identity connector that threads the bond stays
+    unscaled and pass-through tensors stay isometric. The split is
     factorized once per gate (`Gate.schmidt`); its factors are read-only.
     """
     return g.schmidt

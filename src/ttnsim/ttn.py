@@ -11,16 +11,19 @@ A two-qubit gate first carries the center, by gauge-only moves along the
 tree, towards its turning node (the lowest common ancestor of its two
 leaves), but only up to the first node of the tree path between them. The
 gate is then Schmidt-split, its two factors absorbed into the target
-leaves, and its rank-k bond threaded through every node on that path. The
-identity connectors that carry the bond (the turning node takes the
-compensating 1/sqrt(k)) are never built: threading gauges the path below
-the turning node into it, children first, and contracts each child's
-remainder through its connector as it goes into the parent. Those climbs
-carry the center the rest of the way: a path node needs no isometry before
-it is factored, and every node off the path already points towards the
-path, so towards the turning node. The bond index is fused as the major
-part of every axis it joins, and contracting a connector writes each bond
-slice straight into its place in that axis. So every public method leaves
+leaves (the first one with the compensating 1/sqrt(k)), and its rank-k
+bond threaded through every node on that path. The identity connectors
+that carry the bond are never built: threading gauges the path below the
+turning node into it, each side's chain from its leaf up, and contracts
+each child's remainder through its connector as it goes into the parent.
+Those climbs carry the center the rest of the way: a path node needs no
+isometry before it is factored, and every node off the path already points
+towards the path, so towards the turning node. The bond index is fused as
+the major part of every axis it joins, and it only ever lands in a later
+axis of the node it goes into than the one contracted: a leaf's parent
+axis, a pass-through node's parent axis, the turning node's axis for its
+right path child. Contracting a connector writes each bond slice straight
+into its place in that axis. So every public method leaves
 the state canonical, and only the path below the turning node needs its
 edges re-split. A gate inside a subtree cannot change the Schmidt spectrum
 across any edge at or above its turning node, and nothing there is
@@ -122,20 +125,22 @@ class TtnState:
         The center first walks (`_move_center`) towards the turning node
         only until it meets a node of the path (at once if it sits on the
         path, as after a gate on the same qubits). Leaves absorb the gate
-        factors (the new bond index is fused into each leaf's parent axis,
-        major). Then the path nodes below the turning node move the center
-        into it (`_move`), children before parents: a path node between the
-        center and the turning node is factored whole, whichever way it
-        pointed, and every node off the path already points towards the
-        path. Each child's remainder is contracted through the bond's
-        identity connector on its edge as it goes into the parent
-        (`_contract`), so the k-fold larger connector tensors never exist.
-        Below a pass-through node the connector ties the child's edge to the
-        parent's parent axis. Below the turning node it ties the two path
-        children's axes with the 1/sqrt(k): the first child absorbed carries
-        it, and the second one's absorption is an ordinary one. The state is
-        canonical around the turning node again, with the path edges not
-        yet split to their Schmidt ranks.
+        factors, the first leaf `g_a / sqrt(k)`, so that the two factors
+        make up the gate itself (`split_gate`); the new bond index is fused
+        into each leaf's parent axis, major. Then the path nodes below the
+        turning node move the center into it (`_move`), the left chain (the
+        one under the turning node's lower child axis) and then the right
+        one, each from its leaf up: a path node between the center and the
+        turning node is factored whole, whichever way it pointed, and every
+        node off the path already points towards the path. Each child's
+        remainder is contracted through the bond's identity connector on
+        its edge as it goes into the parent (`_contract`), so the k-fold
+        larger connector tensors never exist. Below a pass-through node the
+        connector ties the child's edge to the parent's parent axis. Below
+        the turning node the left chain's top ties its edge to the right
+        path child's axis, and the right chain's top is then absorbed
+        untied. The state is canonical around the turning node again, with
+        the path edges not yet split to their Schmidt ranks.
 
         Returns the path nodes below the turning node, `up_a + up_b`, each
         chain from its leaf upwards: the following sweep reveals their
@@ -163,15 +168,15 @@ class TtnState:
                 f"(cap {self.memory_cap})"
             )
 
-        for leaf, factor in ((up_a[0], g_a), (up_b[0], g_b)):  # factor: (out, in, k)
+        for leaf, factor in ((up_a[0], g_a / math.sqrt(k)), (up_b[0], g_b)):  # (out, in, k)
             self._contract(leaf, 0, factor.transpose(0, 2, 1).reshape(2, -1), tie=(1, k))
 
-        second, first = sorted((up_a[-1], up_b[-1]))
-        for nid in sorted(up_a + up_b, reverse=True):  # preorder ids: children first
-            if k == 1 or nid == second:
+        left, right = sorted((up_a, up_b), key=lambda up: up[-1])  # preorder ids
+        for nid in left + right:
+            if nid == right[-1]:
                 tie = None
-            elif nid == first:
-                tie = (self.tree.child_index(second), k)
+            elif nid == left[-1]:
+                tie = (self.tree.child_index(right[-1]), k)
             else:
                 tie = (len(self.tree.children[self.tree.parent[nid]]), k)  # parent axis
             self._move(nid, self.tree.parent[nid], tie=tie)
@@ -237,12 +242,13 @@ class TtnState:
         connector, contracted here instead of being built: the remainder's
         old edge is (k, d), the bond index k and the axis d, the remainder
         is contracted over d alone, and k becomes the major part of the
-        node's axis `tied`. That is its parent axis below a pass-through
-        node; below the turning node it is the other path child's axis, and
-        a tie to any axis but the parent's carries the 1/sqrt(k), folded
-        into the smaller of the two operands. The node's new tensor is
-        allocated once, and one matmul over the k bond slices writes each
-        slice into its place there: no axis move, and no copy of the result.
+        node's axis `tied`, which must come after `axis` (`tied > axis`).
+        That is a leaf's or a pass-through node's parent axis, and at the
+        turning node the right path child's axis. The connector carries no
+        scale (the first leaf's gate factor holds the 1/sqrt(k)). The
+        node's new tensor is allocated once, and one matmul over the k bond
+        slices writes each slice into its place there: no axis move, and no
+        copy of an operand or of the result.
         """
         t = self.tensors[nid]
         new = remainder.shape[0]
@@ -261,31 +267,18 @@ class TtnState:
         tied, k = tie
         d = t.shape[axis]
         slices = remainder.reshape(new, k, d).transpose(1, 0, 2)  # (k, new, d): one per bond index
-        if tied != t.ndim - 1:
-            if slices.size <= t.size:
-                slices = slices / math.sqrt(k)
-            else:
-                t = t / math.sqrt(k)
         shape = list(t.shape)
         shape[axis] = new
         shape[tied] *= k
         out = np.empty(shape, np.promote_types(t.dtype, remainder.dtype))
-        # views of `out` split `tied` into (k, rest of `tied`); the axes
-        # between the contracted and the tied one, which k interleaves, are
-        # batch axes of the matmul next to k
-        if tied > axis:  # out: (before, new, mid, k, trail)
-            before, mid = math.prod(t.shape[:axis]), math.prod(t.shape[axis + 1:tied])
-            view = out.reshape(before, new, mid, k, -1).transpose(3, 0, 2, 1, 4)
-            np.matmul(slices[:, None, None], t.reshape(before, d, mid, -1).transpose(0, 2, 1, 3),
-                      out=view)
-        else:  # out: (before, k, span, new, rest), span the axes from `tied` to `axis`
-            before, rest = math.prod(t.shape[:tied]), math.prod(t.shape[axis + 1:])
-            if rest == 1:  # rows (span) from t, so each slice is one matrix product
-                np.matmul(t.reshape(before, 1, -1, d), slices.transpose(0, 2, 1),
-                          out=out.reshape(before, k, -1, new))
-            else:
-                np.matmul(slices[:, None], t.reshape(before, 1, -1, d, rest),
-                          out=out.reshape(before, k, -1, new, rest))
+        # a view of `out` as (before, new, mid, k, trail) splits `tied` into
+        # (k, rest of `tied`); the axes between the contracted and the tied
+        # one (mid), which k interleaves, are a batch axis of the matmul next
+        # to k
+        before, mid = math.prod(t.shape[:axis]), math.prod(t.shape[axis + 1:tied])
+        view = out.reshape(before, new, mid, k, -1).transpose(3, 0, 2, 1, 4)
+        np.matmul(slices[:, None, None], t.reshape(before, d, mid, -1).transpose(0, 2, 1, 3),
+                  out=view)
         self.tensors[nid] = out
 
     def _move_center(self, target: int, policy: TruncationPolicy | None = None):

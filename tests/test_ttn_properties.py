@@ -95,7 +95,8 @@ def reference_thread(state, g):
     """The engine's threading with its connectors built: the center moves to
     the gate's turning node, the leaves absorb the split factors and every
     interior path node gets its identity connector, 1/sqrt(k) at the turning
-    node. Returns the turning node."""
+    node (the engine puts it on the first leaf's factor: the same state).
+    Returns the turning node."""
     g_a, g_b, k = split_gate(g)
     up_a, lca, up_b = state.tree.path_between(*g.qubits)
     state._move_center(lca)
@@ -274,6 +275,17 @@ class PeakState(TtnState):
         self.peak = max(self.peak, sum(t.size for t in self.tensors))
 
 
+class TieState(TtnState):
+    """Records (axis, tied) for every tied contraction into `ties`."""
+
+    ties = None
+
+    def _contract(self, nid, axis, remainder, tie=None):
+        if tie is not None:
+            self.ties.append((axis, tie[0]))
+        super()._contract(nid, axis, remainder, tie)
+
+
 def threading_price(state, g):
     """The entries of the state with the gate's connectors built, from a
     state whose center is already at the gate's turning node: each leaf on
@@ -368,6 +380,22 @@ class TestSweepProperties:
             path = state.thread_two_qubit(g)
             state.orthonormalize(policy, nodes=path)
             assert state.peak <= price
+
+
+class TestTie:
+    @settings(max_examples=100)
+    @given(trees_and_circuits())
+    def test_every_bond_lands_in_a_later_axis(self, case):
+        # `_contract` has one tie path, for a bond fused into an axis after
+        # the contracted one: the leaves', the pass-through nodes' parent
+        # axes and, at the turning node, the right path child's axis
+        circuit, topo = case
+        state = TieState.basis_state(topo, [0] * circuit.num_qubits)
+        state.ties = []
+        for g in circuit.gates:
+            state.apply(g)
+        assert state.ties
+        assert all(tied > axis for axis, tied in state.ties)
 
 
 class TestCenter:

@@ -23,8 +23,20 @@ from ttnsim.ttn import TtnState, node_count_bound
     (lambda: node_count_bound(1, 2), "arity must be at least 2"),
     (lambda: svd_econ(np.eye(2), threshold=-1.0), "nonnegative"),
     (lambda: qr_econ(np.zeros((2, 2, 2))), "expected a matrix"),
+    (lambda: Gate("x", (1.7,), np.eye(2)), "must be an integer"),
+    (lambda: Gate("cz", (True, 0), np.eye(4)), "must be an integer"),
+    (lambda: Circuit(2.5), "must be an integer"),
+    (lambda: Circuit(True), "must be an integer"),
 ], ids=["three-qubit-gate", "ttn-bits", "dense-bits", "sv-bits-length", "perfect-arity",
-        "empty-subtree", "node-count-arity", "negative-threshold", "qr-of-3d"])
+        "empty-subtree", "node-count-arity", "negative-threshold", "qr-of-3d",
+        "float-qubit", "bool-qubit", "float-qubit-count", "bool-qubit-count"])
 def test_invalid_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_numpy_integers_pass_as_ints():
+    g = Gate("cz", (np.int64(1), np.int32(0)), np.diag([1, 1, 1, -1]))
+    c = Circuit(np.int64(2), [g])
+    assert g.qubits == (1, 0) and c.num_qubits == 2
+    assert all(type(q) is int for q in g.qubits + (c.num_qubits,))
