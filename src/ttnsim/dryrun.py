@@ -1,23 +1,27 @@
 """Symbolic bond-dimension simulation and gate-pattern admissibility.
 
 A dry-run replays a circuit against a tree topology tracking only edge
-dimensions: each two-qubit gate multiplies every on-path edge by its Schmidt
-rank k, after which a worklist, seeded with the path edges, applies
+dimensions, one per node id (entry 0 is the root's dummy parent axis, 1). Each
+two-qubit gate multiplies every on-path edge by its Schmidt rank k, then the
+min rule
 
     dim(e) <- min(dim(e), product of dims below e, product of dims above e)
 
-(`TreeTopology.edge_bound`) until no edge shrinks. The reduction is the symbolic
-shadow of economical-SVD sweeps, which can only shrink an edge to the smaller
-of its two matricization sides, so dry-run dimensions upper-bound what the
-engines observe. An MPS site order is walked as its comb (`comb_topology`), an
-idle qubit's leaf edge counting as 1, and reported per bond. The dry-run and
-the admissibility check walk the same crossings (`_crossings`), with each
-gate's rank read from its one Schmidt split.
+(`TreeTopology.edge_bound`) runs once along the path and once back. That is
+the whole-tree fixpoint: the ledger is at it before each gate and the rule is
+monotone, so growing path edges shrinks no edge off the path; and the path is
+a line between two leaves, each edge's bound reading only its two neighbours
+on it times factors of at least 1. The reduction is the symbolic shadow of
+economical-SVD sweeps, which can only shrink an edge to the smaller of its two
+matricization sides, so dry-run dimensions upper-bound what the engines
+observe. An MPS site order is walked as its comb (`comb_topology`), an idle
+qubit's leaf edge counting as 1, and reported per bond. The dry-run and the
+admissibility check walk the same crossings (`_crossings`), with each gate's
+rank read from its one Schmidt split.
 """
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,39 +58,9 @@ class DryRunReport:
     cap_events: int = 0
 
 
-def _reduce_tree(dims: dict, tree: TreeTopology, seeds):
-    """Two-sided min rule to fixpoint over a tree ledger (keyed by child id).
-
-    A worklist seeded with the edges whose dims just grew. An edge that shrinks
-    queues the edges whose bound has it as a factor, if larger than its new dim.
-    The rule is monotone, so this reaches the whole-tree sweep's fixpoint.
-    """
-    work = deque(seeds)
-    queued = set(work)
-    while work:
-        nid = work.popleft()
-        queued.discard(nid)
-        new = tree.edge_bound(nid, dims.__getitem__)
-        if new < dims[nid]:
-            dims[nid] = new
-            parent = tree.parent[nid]
-            # the edges whose bound reads this one: children, siblings, parent
-            for e in tree.children[nid] + tree.children[parent] + [parent]:
-                if dims.get(e, 0) > new and e not in queued:
-                    queued.add(e)
-                    work.append(e)
-
-
-def _tree_entries(dims: dict, tree: TreeTopology) -> int:
-    total = 0
-    for nid in range(tree.num_nodes):
-        if tree.is_leaf(nid):
-            total += 2 * dims.get(nid, 1)  # a lone leaf is the root, with no edge
-        else:
-            size = math.prod(dims[c] for c in tree.children[nid])
-            size *= dims[nid] if tree.parent[nid] is not None else 1
-            total += size
-    return total
+def _tree_entries(dims: list, tree: TreeTopology) -> int:
+    return sum((math.prod(dims[c] for c in kids) if kids else 2) * dims[nid]
+               for nid, kids in enumerate(tree.children))
 
 
 def _crossings(circuit: Circuit, tree: TreeTopology):
@@ -100,13 +74,17 @@ def _crossings(circuit: Circuit, tree: TreeTopology):
 
 
 def _dryrun_tree(circuit: Circuit, tree: TreeTopology, cap) -> DryRunReport:
-    dims = {nid: 1 for nid in range(tree.num_nodes) if tree.parent[nid] is not None}
+    dims = [1] * tree.num_nodes  # dims[0] is the root's dummy parent axis
     events = []
     cap_events = 0
     for idx, g, k, edges in _crossings(circuit, tree):
         for e in edges:
             dims[e] *= k
-        _reduce_tree(dims, tree, edges)
+        # along the thread and back; the last edge is settled by the first sweep
+        for e in edges + edges[-2::-1]:
+            bound = tree.edge_bound(e, dims.__getitem__)
+            if bound < dims[e]:
+                dims[e] = bound
         if cap is not None:
             # the ledger stays a fixpoint: every edge is already at most cap,
             # and every bound that reads a clamped edge is at least cap
@@ -115,9 +93,9 @@ def _dryrun_tree(circuit: Circuit, tree: TreeTopology, cap) -> DryRunReport:
                     dims[e] = cap
                     cap_events += 1
         events.append(GateEvent(idx, g.label, k, sorted(edges)))
-    levels = {e: tree.edge_level(e) for e in dims}
-    d_max = max(dims.values(), default=1)
-    return DryRunReport("ttn", dims, levels, max(int(d_max), 2),
+    edge_dims = {e: dims[e] for e in range(1, tree.num_nodes)}
+    levels = {e: tree.edge_level(e) for e in edge_dims}
+    return DryRunReport("ttn", edge_dims, levels, max(int(max(dims)), 2),
                         _tree_entries(dims, tree), events, cap, cap_events)
 
 

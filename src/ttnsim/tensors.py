@@ -4,12 +4,11 @@ All tensors are numpy ``complex128`` arrays in row-major (C) layout; the last
 axis is the fastest. Operations are pure functions and never mutate inputs.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError
+from .errors import FactorizationError, doc_int
 
 
 @dataclass
@@ -68,8 +67,7 @@ def qr_econ(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_rank_cap(value, what: str) -> None:
     """A rank cap is None or an integer (numpy's too; not a float or a bool) of at least 1."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                              or value < 1):
+    if value is not None and doc_int(value, what) < 1:
         raise ValueError(f"{what} must be None or an integer of at least 1, got {value!r}")
 
 

@@ -105,11 +105,12 @@ class TreeTopology:
         """Min-rule bound of the edge above `nid`, given edge dims `dim(edge)`:
         an economical SVD leaves it no larger than either matricization side,
         below (the child-edge dims, 2 for a leaf) or above (the parent's own
-        edge, 1 at the root, times the sibling-edge dims)."""
+        edge times the sibling-edge dims). `dim(0)` is the root's dummy
+        parent axis, which is 1."""
         kids = self.children[nid]
         below = math.prod(map(dim, kids)) if kids else 2
         parent = self.parent[nid]
-        above = 1 if self.parent[parent] is None else dim(parent)
+        above = dim(parent)
         for sibling in self.children[parent]:
             if sibling != nid:
                 above *= dim(sibling)
@@ -147,9 +148,10 @@ class TreeTopology:
         return self.path(self.qubit_node[qa], self.qubit_node[qb])
 
     def path_edges(self, qa: int, qb: int) -> list[int]:
-        """Edges (as child node ids) the thread between two leaves crosses."""
+        """Edges (as child node ids) the thread between two leaves crosses,
+        in order along it from qa's leaf to qb's."""
         up_a, _, up_b = self.path_between(qa, qb)
-        return up_a + up_b
+        return up_a + up_b[::-1]
 
     def edge_level(self, child_id: int) -> int:
         """Level of the edge above `child_id` (leaf edges are level 1)."""

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .circuits import Circuit
+from .errors import doc_int
 from .topology import TreeTopology, node
 
 
@@ -90,7 +91,7 @@ def cluster(sim: SimilarityMatrix, num_clusters: int) -> list[list[int]]:
     smallest member.
     """
     n = sim.n
-    if not 1 <= num_clusters <= n:
+    if not 1 <= doc_int(num_clusters, "cluster count") <= n:
         raise ValueError(f"cluster count must be in [1, {n}], got {num_clusters}")
     cap = math.ceil(1.5 * n / num_clusters)
     sums: dict[int, dict[int, int]] = {q: {} for q in range(n)}

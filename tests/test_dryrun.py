@@ -88,6 +88,31 @@ class TestDryRunTree:
         assert ev.k == 2
         assert len(ev.edges) == 4  # two leaf edges plus two internal edges
 
+    @pytest.mark.parametrize("case", ["lattice-planned", "lattice-comb", "triangle-81"])
+    def test_min_rule_reads_each_path_there_and_back(self, case, monkeypatch):
+        if case == "triangle-81":
+            c, topo = gen_triangle_pattern(3, 64)
+        else:
+            c = gen_lattice(4, 8, 100)
+            planned = case == "lattice-planned"
+            topo = find_tree_structure(c, 2) if planned else comb_topology(range(16))
+        calls = []
+        edge_bound = TreeTopology.edge_bound
+
+        def recording(tree, nid, dim):
+            calls.append(nid)
+            return edge_bound(tree, nid, dim)
+
+        monkeypatch.setattr(TreeTopology, "edge_bound", recording)
+        dryrun(c, topo)
+        expected = []
+        for g in c.gates:
+            if g.num_qubits == 2:
+                up_a, _, up_b = topo.path_between(*g.qubits)
+                path = up_a + up_b[::-1]
+                expected += path + path[-2::-1]
+        assert calls == expected
+
 
 class TestDryRunMps:
     def test_natural_order_threading(self):

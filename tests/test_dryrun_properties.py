@@ -127,7 +127,7 @@ def trees_and_circuits(draw):
 class TestDryRunProperties:
     @settings(max_examples=200)
     @given(trees_and_circuits(), st.sampled_from([None, 1, 2, 3, 4, 8, 16]))
-    def test_worklist_matches_whole_tree_fixpoint(self, case, cap):
+    def test_path_sweeps_match_whole_tree_fixpoint(self, case, cap):
         circuit, topo = case
         rep = dryrun(circuit, topo, cap=cap)
         dims, clamps = reference_tree_dims(circuit, topo, cap)

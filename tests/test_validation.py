@@ -9,7 +9,7 @@ from ttnsim.gates import Gate
 from ttnsim.statevector import basis_vector, sv_simulate
 from ttnsim.tensors import qr_econ, svd_econ
 from ttnsim.topology import perfect_tree
-from ttnsim.treesearch import SimilarityMatrix, create_subtree
+from ttnsim.treesearch import SimilarityMatrix, cluster, create_subtree, find_tree_structure
 from ttnsim.ttn import TtnState, node_count_bound
 
 
@@ -27,9 +27,12 @@ from ttnsim.ttn import TtnState, node_count_bound
     (lambda: Gate("cz", (True, 0), np.eye(4)), "must be an integer"),
     (lambda: Circuit(2.5), "must be an integer"),
     (lambda: Circuit(True), "must be an integer"),
+    (lambda: cluster(SimilarityMatrix(Circuit(3)), 2.5), "must be an integer"),
+    (lambda: find_tree_structure(Circuit(3), True), "must be an integer"),
 ], ids=["three-qubit-gate", "ttn-bits", "dense-bits", "sv-bits-length", "perfect-arity",
         "empty-subtree", "node-count-arity", "negative-threshold", "qr-of-3d",
-        "float-qubit", "bool-qubit", "float-qubit-count", "bool-qubit-count"])
+        "float-qubit", "bool-qubit", "float-qubit-count", "bool-qubit-count",
+        "float-cluster-count", "bool-cluster-count"])
 def test_invalid_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
