@@ -126,7 +126,7 @@ def dryrun(circuit: Circuit, layout, cap: int | None = None) -> DryRunReport:
     integer of at least 1) set, edges are clamped at the cap and each clamp
     is recorded as a would-truncate event.
     """
-    check_rank_cap(cap, "cap")
+    cap = check_rank_cap(cap, "cap")
     if isinstance(layout, TreeTopology):
         return _dryrun_tree(circuit, layout, cap)
     return _dryrun_mps(circuit, layout, cap)
@@ -173,7 +173,7 @@ def admissible(circuit: Circuit, tree: TreeTopology, d_max: int) -> Admissibilit
     meaning."""
     if d_max is None:
         raise ValueError("d_max must be an integer of at least 2, got None (no budget)")
-    check_rank_cap(d_max, "d_max")
+    d_max = check_rank_cap(d_max, "d_max")
     arity = max(tree.max_arity, 2)
     lc = l_cluster(arity, d_max)
     products = {nid: 1 for nid in range(tree.num_nodes)

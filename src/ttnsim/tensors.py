@@ -65,10 +65,15 @@ def qr_econ(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def check_rank_cap(value, what: str) -> None:
-    """A rank cap is None or an integer (numpy's too; not a float or a bool) of at least 1."""
-    if value is not None and doc_int(value, what) < 1:
+def check_rank_cap(value, what: str) -> int | None:
+    """A rank cap is None or an integer (numpy's too; not a float or a bool)
+    of at least 1; returns it as None or an int, for the caller to keep."""
+    if value is None:
+        return None
+    cap = doc_int(value, what)
+    if cap < 1:
         raise ValueError(f"{what} must be None or an integer of at least 1, got {value!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0.0 <= self.sigma_rel < 1.0:
             raise ValueError("sigma_rel must lie in [0, 1)")
-        check_rank_cap(self.d_max, "d_max")
+        object.__setattr__(self, "d_max", check_rank_cap(self.d_max, "d_max"))  # frozen
 
     def rank(self, s: np.ndarray) -> tuple[int, bool]:
         """`(keep, capped)` for a nonincreasing spectrum `s`: how many

@@ -10,46 +10,49 @@ unless the center lies below it), so the global norm is the center tensor's.
 A two-qubit gate first carries the center, by gauge-only moves along the
 tree, towards its turning node (the lowest common ancestor of its two
 leaves), but only up to the first node of the tree path between them. The
-gate is then Schmidt-split, its two factors absorbed into the target
-leaves (the first one with the compensating 1/sqrt(k)), and its rank-k
-bond threaded through every node on that path. The identity connectors
-that carry the bond are never built: threading gauges the path below the
-turning node into it, each side's chain from its leaf up, and contracts
-each child's remainder through its connector as it goes into the parent.
-Those climbs carry the center the rest of the way: a path node needs no
-isometry before it is factored, and every node off the path already points
-towards the path, so towards the turning node. The bond index is fused as
-the major part of every axis it joins, and it only ever lands in a later
-axis of the node it goes into than the one contracted: a leaf's parent
-axis, a pass-through node's parent axis, the turning node's axis for its
-right path child. Contracting a connector writes each bond slice straight
-into its place in that axis. So every public method leaves
-the state canonical, and only the path below the turning node needs its
-edges re-split. A gate inside a subtree cannot change the Schmidt spectrum
-across any edge at or above its turning node, and nothing there is
-touched: on a comb (the MPS) a nearest-neighbour gate costs the same at
-every site.
+gate is then Schmidt-split and its rank-k bond threaded through every node
+on that path. Neither the gated leaves nor the identity connectors that
+carry the bond are built: threading gauges the path below the turning node
+into it, each side's chain from its leaf up. Each leaf and its gate factor
+(the first one with the compensating 1/sqrt(k)) make one remainder that
+goes into the leaf's parent, the leaf becoming the identity, and each
+child's remainder is contracted through its connector as it goes into the
+parent. Those climbs carry the center the rest of the way: a path node
+needs no isometry before it is factored, and every node off the path
+already points towards the path, so towards the turning node. The bond
+index is fused as the major part of every axis it joins, and it only ever
+lands in a later axis of the node it goes into than the one contracted: a
+pass-through node's parent axis, the turning node's axis for its right
+path child. Contracting a connector writes each bond slice straight into
+its place in that axis. So every public method leaves the state canonical,
+and only the path below the turning node needs its edges re-split. A gate
+inside a subtree cannot change the Schmidt spectrum across any edge at or
+above its turning node, and nothing there is touched: on a comb (the MPS) a
+nearest-neighbour gate costs the same at every site.
 
 The sweep is the same for every truncation policy, the reveal: the center
-walks to each touched leaf in turn and stays at the last one, and each edge
-it descends is split by SVD against the state's true Schmidt spectrum.
-Exact mode keeps each edge at its Schmidt rank there, and a truncating
-policy cuts there. The one exception is a binary root's second edge. The
-root's parent axis has dimension 1, so both its edges cut the state the
-same way, and the split of the first already revealed that spectrum: the
-walk across the root descends the second gauge-only, which leaves it at
-the first edge's dimension: the Schmidt rank in exact mode, the first
-edge's cut under a truncating policy. The whole-tree sweep walks the center
-to the root first and reveals every leaf, so it ends at the last leaf in
-preorder.
+walks to each touched leaf's parent in turn, where the leaf's edge is split
+in place, and stays at the last one; each edge it descends, and each leaf
+edge, is split by SVD against the state's true Schmidt spectrum. Exact
+mode keeps each edge at its Schmidt rank there, and a truncating policy
+cuts there. The center never rests on a leaf, so no leaf's data crosses its
+edge more than once a gate. The one exception is a binary root's second
+edge. The root's parent axis has dimension 1, so both its edges cut the
+state the same way, and the split of the first already revealed that
+spectrum: the second is moved gauge-only, which leaves it at the first
+edge's dimension: the Schmidt rank in exact mode, the first edge's cut
+under a truncating policy. The whole-tree sweep walks the center to the
+root first and reveals every leaf, so it ends at the parent of the last
+leaf in preorder.
 
-Every step of all this is one operation, a matrix contracted into one axis
-of a node (`TtnState._contract`): a one-qubit gate into its leaf's physical
-axis, a gate factor into its leaf with the new bond tied into the leaf's
-parent axis, the remainder of a center move across one edge
-(`TtnState._move`, gauge-only or, in the reveal, by SVD) into the neighbour,
-through a bond's connector while threading, and, in the read-out, each node
-into its parent's axis for it.
+Almost every step of all this is one operation, a matrix contracted into
+one axis of a node (`TtnState._contract`): a one-qubit gate into its leaf's
+physical axis, the remainder of a center move across one edge
+(`TtnState._move`, gauge-only or, in the reveal, by SVD) or of a leaf and
+its gate factor into the neighbour, through a bond's connector while
+threading, and, in the read-out, each node into its parent's axis for it.
+A leaf split (`TtnState._split_leaf`) instead writes the parent's share of
+its SVD straight into the parent's new tensor.
 """
 
 import math
@@ -124,23 +127,27 @@ class TtnState:
 
         The center first walks (`_move_center`) towards the turning node
         only until it meets a node of the path (at once if it sits on the
-        path, as after a gate on the same qubits). Leaves absorb the gate
-        factors, the first leaf `g_a / sqrt(k)`, so that the two factors
-        make up the gate itself (`split_gate`); the new bond index is fused
-        into each leaf's parent axis, major. Then the path nodes below the
-        turning node move the center into it (`_move`), the left chain (the
-        one under the turning node's lower child axis) and then the right
-        one, each from its leaf up: a path node between the center and the
-        turning node is factored whole, whichever way it pointed, and every
-        node off the path already points towards the path. Each child's
-        remainder is contracted through the bond's identity connector on
-        its edge as it goes into the parent (`_contract`), so the k-fold
-        larger connector tensors never exist. Below a pass-through node the
-        connector ties the child's edge to the parent's parent axis. Below
-        the turning node the left chain's top ties its edge to the right
-        path child's axis, and the right chain's top is then absorbed
-        untied. The state is canonical around the turning node again, with
-        the path edges not yet split to their Schmidt ranks.
+        path, as for a gate on the last revealed leaf's qubit: the center
+        rests at that leaf's parent). Then the path nodes below the
+        turning node move the center into it, the left chain (the one under
+        the turning node's lower child axis) and then the right one, each
+        from its leaf up. A leaf and its gate factor, the first leaf's
+        `g_a / sqrt(k)` so that the two factors make up the gate itself
+        (`split_gate`), make one (2, k*e) remainder with the new bond index
+        major, which goes into the parent as a move's remainder would; the
+        leaf becomes the identity (or, for a rank-1 gate on a rank-1 leaf,
+        the isometry of a QR, as `_move` factors it). A path node above
+        the leaves is factored whole (`_move`), whichever way it pointed,
+        and every node off the path already points towards the path. Each
+        child's remainder is contracted through the bond's identity
+        connector on its edge as it goes into the parent (`_contract`), so
+        the k-fold larger connector tensors never exist. Below a
+        pass-through node the connector ties the child's edge to the
+        parent's parent axis. Below the turning node the left chain's top
+        ties its edge to the right path child's axis, and the right chain's
+        top is then absorbed untied. The state is canonical around the
+        turning node again, with the path edges not yet split to their
+        Schmidt ranks.
 
         Returns the path nodes below the turning node, `up_a + up_b`, each
         chain from its leaf upwards: the following sweep reveals their
@@ -168,18 +175,26 @@ class TtnState:
                 f"(cap {self.memory_cap})"
             )
 
-        for leaf, factor in ((up_a[0], g_a / math.sqrt(k)), (up_b[0], g_b)):  # (out, in, k)
-            self._contract(leaf, 0, factor.transpose(0, 2, 1).reshape(2, -1), tie=(1, k))
-
+        factors = {up_a[0]: g_a / math.sqrt(k), up_b[0]: g_b}  # (out, in, k)
         left, right = sorted((up_a, up_b), key=lambda up: up[-1])  # preorder ids
         for nid in left + right:
+            parent = self.tree.parent[nid]
             if nid == right[-1]:
                 tie = None
             elif nid == left[-1]:
                 tie = (self.tree.child_index(right[-1]), k)
             else:
-                tie = (len(self.tree.children[self.tree.parent[nid]]), k)  # parent axis
-            self._move(nid, self.tree.parent[nid], tie=tie)
+                tie = (len(self.tree.children[parent]), k)  # parent axis
+            if nid in factors:
+                # the leaf and its factor as one (2, k*e) remainder, k major
+                factor = factors[nid].transpose(0, 2, 1).reshape(2 * k, 2)
+                leaf = (factor @ self.tensors[nid]).reshape(2, -1)
+                if leaf.shape[1] >= 2:
+                    self.tensors[nid] = np.eye(2, dtype=leaf.dtype)
+                    self._contract(parent, self.tree.child_index(nid), leaf, tie)
+                    continue
+                self.tensors[nid] = leaf  # (2, 1): a QR keeps its edge at 1
+            self._move(nid, parent, tie=tie)
         self.center = lca
         return up_a + up_b
 
@@ -243,9 +258,9 @@ class TtnState:
         old edge is (k, d), the bond index k and the axis d, the remainder
         is contracted over d alone, and k becomes the major part of the
         node's axis `tied`, which must come after `axis` (`tied > axis`).
-        That is a leaf's or a pass-through node's parent axis, and at the
-        turning node the right path child's axis. The connector carries no
-        scale (the first leaf's gate factor holds the 1/sqrt(k)). The
+        That is a pass-through node's parent axis, and at the turning node
+        the right path child's axis. The connector carries no scale (the
+        first leaf's gate factor holds the 1/sqrt(k)). The
         node's new tensor is allocated once, and one matmul over the k bond
         slices writes each slice into its place there: no axis move, and no
         copy of an operand or of the result.
@@ -281,32 +296,82 @@ class TtnState:
                   out=view)
         self.tensors[nid] = out
 
-    def _move_center(self, target: int, policy: TruncationPolicy | None = None):
+    def _move_center(self, target: int, policy: TruncationPolicy | None = None,
+                     gauge_root: bool = False):
         """Carry the orthogonality center to `target` along the tree path
         (`TreeTopology.path`), one `_move` per edge: gauge-only while it
         climbs to the lowest common ancestor of the two, then gauge-only or,
         under `policy`, by SVD (the sweep's reveal) while it descends. Edge
-        dimensions never grow.
+        dimensions never grow. The reveal walks to each revealed leaf's
+        parent, never to the leaf: `_split_leaf` splits the leaf's edge in
+        place.
 
-        A walk that crosses a binary root from one child's side to the
-        other's descends into the second child gauge-only. Both root edges
-        cut the state the same way (the root's parent axis has dimension
-        1), and in a reveal the walk's earlier descent split the first
-        edge by SVD: the root is then a (keep x d) matrix of full row rank
-        with keep <= d, so the gauge move leaves the second edge at keep
-        (the Schmidt rank in exact mode), and a second SVD would only
-        re-derive the spectrum. A reveal starts at a center above its
-        leaves, so its first walk never crosses the root side to side;
-        `orthonormalize` checks that."""
+        With `gauge_root` (a binary root whose first edge the reveal has
+        already split) a walk through the root descends into its second
+        child gauge-only. Both root edges cut the state the same way (the
+        root's parent axis has dimension 1): the root is then a (keep x d)
+        matrix of full row rank with keep <= d, so the gauge move leaves the
+        second edge at keep (the Schmidt rank in exact mode), and a second
+        SVD would only re-derive the spectrum."""
         up, top, down = self.tree.path(self.center, target)
         parent = self.tree.parent
         for node in up:
             self._move(node, parent[node])
-        if up and down and top == 0 and len(self.tree.children[0]) == 2:
+        if gauge_root and down and top == 0:
             self._move(top, down.pop())
         for child in reversed(down):
             self._move(parent[child], child, policy)
         self.center = target
+
+    def _split_leaf(self, leaf: int, policy: TruncationPolicy | None, last: bool):
+        """Split the edge between `leaf` and its parent, the center, in
+        place: the SVD of the parent matricized against the leaf's axis,
+        `u s v_dag` cut by `policy.rank`. The parent keeps `u s`, written
+        once into its new tensor in its own axis order, so the center stays
+        there; the leaf becomes `leaf @ v_dag.T`, an isometry towards it.
+        The reveal's `last` split divides its kept `s` by their norm, which
+        normalizes the state.
+
+        Without a policy the split is gauge-only: the second edge of a
+        binary root whose first edge the reveal has split (`_move_center`).
+        The root is then a (d x e) matrix with d <= e <= 2 (the leaf's
+        edge), and the leaf is the reveal's last. With d = e the root is
+        only normalized; with d = 1 < e the leaf takes the root's one
+        normalized row, and the root becomes 1."""
+        parent = self.center
+        t = self.tensors[parent]
+        if policy is None:
+            mat = t.reshape(t.shape[:2])
+            nrm = np.linalg.norm(mat)
+            if nrm == 0:
+                raise FactorizationError("state collapsed to zero norm")
+            if mat.shape[0] == mat.shape[1]:
+                self.tensors[parent] = t / nrm
+            else:
+                self.tensors[leaf] = self.tensors[leaf] @ (mat.T / nrm)
+                self.tensors[parent] = np.ones((1, 1, 1), t.dtype)
+            return
+        axis = self.tree.child_index(leaf)
+        try:
+            fac = svd_econ(self._matricize(parent, axis), threshold=RANK_TOL)
+        except FactorizationError as exc:
+            raise FactorizationError(f"node {parent}: {exc}") from exc
+        keep, capped = policy.rank(fac.s)
+        self.cap_events += capped
+        s = fac.s[:keep]
+        if last:
+            nrm = np.linalg.norm(s)
+            if nrm == 0:
+                raise FactorizationError("state collapsed to zero norm")
+            s = s / nrm
+        # u's rows are the parent's other axes in order: its kept columns,
+        # scaled by s, go straight into `axis`
+        before = math.prod(t.shape[:axis])
+        out = np.empty(t.shape[:axis] + (keep,) + t.shape[axis + 1:], fac.u.dtype)
+        np.multiply(fac.u[:, :keep].reshape(before, -1, keep).transpose(0, 2, 1), s[:, None],
+                    out=out.reshape(before, keep, -1))
+        self.tensors[parent] = out
+        self.tensors[leaf] = self.tensors[leaf] @ fac.v_dag[:keep].T
 
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
         """Re-orthonormalization sweep, the same for every policy: the
@@ -314,34 +379,38 @@ class TtnState:
         `thread_two_qubit` returns. With None, the center first walks to
         the root (`_move_center`) and every leaf is revealed.
 
-        The center walks under the policy (`_move_center`) to each leaf, in
-        ascending (preorder) id order, and stays at the last one. Consecutive
+        The center walks under the policy (`_move_center`) to each leaf's
+        parent, in ascending (preorder) leaf id order, and the leaf's edge
+        is split there in place (`_split_leaf`): the center never rests on
+        a leaf, and stays at the last revealed leaf's parent. Consecutive
         walks meet at the leaves' lowest common ancestor, so each edge on
         the way is split once, by SVD against the state's true Schmidt
         spectrum: exact mode drops only numerically zero values, so every
         edge ends at its Schmidt rank, and a truncating policy cuts there.
-        The exception is a binary root's second edge, moved gauge-only after
-        the first root edge's split (`_move_center`), which keeps it at the
-        Schmidt rank; so the leaves must lie below the center, as a thread's
-        do, and no walk crosses the root before one has descended from it.
-        Raises ValueError, before any move, for a leaf that does not. No
-        edge ends above its threaded dimension; the center, at the last
-        revealed leaf, is rescaled to unit norm at the end.
+        The exception is a binary root's second edge: once the reveal has
+        split a root edge (it starts at the root, and its first walk or
+        leaf split does so), the second is moved gauge-only, by a walk
+        (`_move_center`) or in place at the root (`_split_leaf`), which
+        keeps it at the Schmidt rank; so the leaves must lie below the
+        center, as a thread's do. Raises ValueError, before any move, for a
+        leaf that does not. No edge ends above its threaded dimension; the
+        last split normalizes the state.
         """
+        tree = self.tree
+        # a lone root leaf (one qubit) has no edge to split
         if nodes is None:
             self._move_center(0)
-            leaves = [nid for nid in range(self.tree.num_nodes) if self.tree.is_leaf(nid)]
+            leaves = [nid for nid in range(1, tree.num_nodes) if tree.is_leaf(nid)]
         else:
-            leaves = sorted(nid for nid in nodes if self.tree.is_leaf(nid))
+            leaves = sorted(nid for nid in nodes if nid != 0 and tree.is_leaf(nid))
             for leaf in leaves:
-                if self.tree.path(leaf, self.center)[2]:
+                if tree.path(leaf, self.center)[2]:
                     raise ValueError(f"leaf {leaf} does not lie below the center {self.center}")
-        for leaf in leaves:
-            self._move_center(leaf, policy)
-        nrm = np.linalg.norm(self.tensors[self.center])
-        if nrm == 0:
-            raise FactorizationError("state collapsed to zero norm")
-        self.tensors[self.center] = self.tensors[self.center] / nrm
+        binary_root = self.center == 0 and len(tree.children[0]) == 2
+        for i, leaf in enumerate(leaves):
+            parent, gauge = tree.parent[leaf], binary_root and i > 0
+            self._move_center(parent, policy, gauge)
+            self._split_leaf(leaf, None if gauge and parent == 0 else policy, leaf == leaves[-1])
         return self
 
     def canonical_deviation(self) -> float:

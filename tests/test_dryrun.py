@@ -1,3 +1,4 @@
+import json
 import sys
 from collections import Counter
 
@@ -234,6 +235,17 @@ class TestCap:
         topo = find_tree_structure(c, 3)
         assert dryrun(c, topo, cap=np.int64(2)).edge_dims == dryrun(c, topo, cap=2).edge_dims
 
+    def test_numpy_integer_cap_reports_ints(self):
+        # the clamped dims and the entry count are the cap's int, so the
+        # reports serialize as the int-capped ones do
+        c = gen_lattice(3, 6, 1)
+        for layout in (find_tree_structure(c, 2), list(range(c.num_qubits))):
+            rep = dryrun(c, layout, cap=np.int64(2))
+            counts = [rep.m_entries, rep.d_max_observed, rep.cap, rep.cap_events,
+                      *rep.edge_dims.values()]
+            assert rep.cap_events and all(type(n) is int for n in counts)
+            json.dumps(counts)
+
     def test_cap_one_clamps_leaf_edges_too(self):
         rep = dryrun(Circuit(2, [gates.cnot(0, 1)]), [0, 1], cap=1)
         assert rep.edge_dims == {0: 1}
@@ -278,6 +290,14 @@ class TestAdmissible:
         c = gen_lattice(3, 6, 1)
         topo = find_tree_structure(c, 3)
         assert admissible(c, topo, np.int64(16)) == admissible(c, topo, 16)
+
+    def test_numpy_integer_budget_reports_ints(self):
+        c = gen_lattice(3, 6, 1)
+        rep = admissible(c, find_tree_structure(c, 2), np.int64(4))
+        counts = [rep.d_max, rep.arity, rep.cluster_level, *rep.edge_products.values(),
+                  *rep.violations]
+        assert all(type(n) is int for n in counts)
+        json.dumps(counts)
 
     def test_topology_must_cover_the_circuit(self):
         # a 9-qubit circuit on a 27-leaf tree: rejected as the dry-run rejects it

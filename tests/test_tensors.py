@@ -100,7 +100,9 @@ class TestTruncationPolicy:
             TruncationPolicy(d_max=d_max)
 
     def test_numpy_integer_cap_passes(self):
-        assert TruncationPolicy(d_max=np.int64(4)).rank(np.ones(6)) == (4, True)
+        policy = TruncationPolicy(d_max=np.int64(4))
+        assert policy.rank(np.ones(6)) == (4, True)
+        assert type(policy.d_max) is int
 
 
 @pytest.mark.parametrize("kernel, factorize, name", [

@@ -2,6 +2,7 @@ import gc
 import itertools
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from ttnsim import gates, ttn
 from ttnsim.circuits import Circuit, gen_lattice
 from ttnsim.errors import FactorizationError, MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary
+from ttnsim.mps import run_circuit as mps_run_circuit
 from ttnsim.statevector import fidelity, overlap_error, sv_simulate
 from ttnsim.tensors import EXACT, TruncationPolicy
 from ttnsim.topology import TreeTopology, comb_topology, perfect_tree
-from ttnsim.treesearch import find_tree_structure
+from ttnsim.treesearch import default_cluster_count, find_tree_structure
 from ttnsim.ttn import (TtnState, entries_upper_bound, flops_bound, node_count_bound,
                         run_circuit)
 
@@ -44,9 +46,10 @@ def deviation_towards_center(state, nid):
 
 
 def record_moves(monkeypatch):
-    """Record every `TtnState._move` from here on as (kind, direction,
-    edge): "split" under a policy, else "gauge"; "down" or "up"; the edge
-    by its child."""
+    """Record every `TtnState._move` and every in-place leaf split
+    (`TtnState._split_leaf`) from here on as (kind, direction, edge):
+    "split" under a policy, else "gauge"; "down" or "up" (a leaf split is
+    "down", into the leaf); the edge by its child."""
     moves = []
 
     def recorded(self, src, dst, policy=None, tie=None, _f=TtnState._move):
@@ -55,7 +58,12 @@ def record_moves(monkeypatch):
                       dst if down else src))
         return _f(self, src, dst, policy, tie)
 
+    def recorded_leaf(self, leaf, policy, last, _f=TtnState._split_leaf):
+        moves.append(("split" if policy is not None else "gauge", "down", leaf))
+        return _f(self, leaf, policy, last)
+
     monkeypatch.setattr(TtnState, "_move", recorded)
+    monkeypatch.setattr(TtnState, "_split_leaf", recorded_leaf)
     return moves
 
 
@@ -237,8 +245,8 @@ class TestMixedCanonicalForm:
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     def test_gate_under_the_center_leaves_the_tree_above_alone(self, policy, monkeypatch):
         # a second gate with the same turning node neither splits nor gauges
-        # any edge at or above it; each gate leaves the center at the leaf
-        # it revealed last, the higher preorder id of its two
+        # any edge at or above it; each gate leaves the center at the parent
+        # of the leaf it revealed last, the higher preorder id of its two
         rng = np.random.default_rng(31)
         state = run_circuit(random_circuit(rng, 8, 30, p_single=0.0), perfect_tree(2, 3))
         first = Gate("u2", (0, 3), haar_unitary(4, rng))
@@ -246,13 +254,14 @@ class TestMixedCanonicalForm:
         lca = state.tree.path_between(0, 3)[1]
         assert state.tree.path_between(1, 2)[1] == lca
         state.apply(first, policy)
-        assert state.center == state.tree.qubit_node[3]
+        assert state.center == state.tree.parent[state.tree.qubit_node[3]]
         above = set(state.tree.ancestors(lca))  # edges at or above, by child
         moves = record_moves(monkeypatch)
         state.apply(second, policy)
         assert moves and not [m for m in moves if m[2] in above]
         assert not [m for m in moves if m[:2] == ("gauge", "down")]
-        assert state.center == state.tree.qubit_node[2] and state.canonical_deviation() < 1e-10
+        assert state.center == state.tree.parent[state.tree.qubit_node[2]]
+        assert state.canonical_deviation() < 1e-10
 
     @staticmethod
     def threaded_gates(shape, monkeypatch):
@@ -287,11 +296,13 @@ class TestMixedCanonicalForm:
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_sweep_splits_each_path_edge_once(self, shape, policy, monkeypatch):
-        # the reveal walks the center to each touched leaf and back: every
-        # edge on the gate's path is split exactly once, and no other edge,
-        # except a binary root's second child edge when the gate turns at
-        # that root: the walk across the root moves it gauge-only, once, as
-        # the first root edge's split already revealed that bipartition
+        # the reveal walks the center to each touched leaf's parent and
+        # splits the leaf's edge there: every edge on the gate's path is
+        # split exactly once, and no other edge, except a binary root's
+        # second child edge when the gate turns at that root: the walk
+        # across the root, or the leaf split at it, moves it gauge-only,
+        # once, as the first root edge's split already revealed that
+        # bipartition
         turned = 0
         for state, path, moves in self.threaded_gates(shape, monkeypatch):
             second = self.second_root_edge(state.tree)
@@ -310,8 +321,8 @@ class TestMixedCanonicalForm:
         # the whole-tree sweep walks the center to the root by gauge moves,
         # then reveals every leaf from there: each edge is split exactly
         # once, except a binary root's second child edge, which is moved
-        # gauge-only once, and the center ends at the last leaf revealed,
-        # the last node in preorder
+        # gauge-only once, and the center ends at the parent of the last
+        # leaf revealed, the last node in preorder
         binary = 0
         for state, _, moves in self.threaded_gates(shape, monkeypatch):
             second = self.second_root_edge(state.tree)
@@ -320,7 +331,7 @@ class TestMixedCanonicalForm:
             split = sorted(edge for kind, _, edge in moves if kind == "split")
             assert split == [nid for nid in range(1, state.tree.num_nodes) if nid != second]
             assert moves[start:].count(("gauge", "down", second)) == (second is not None)
-            assert state.center == state.tree.num_nodes - 1
+            assert state.center == state.tree.parent[state.tree.num_nodes - 1]
             binary += second is not None
         assert binary
 
@@ -358,19 +369,47 @@ class TestMixedCanonicalForm:
             run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
         assert len(calls) == 240
 
+    def test_oracle_pass_counts(self, monkeypatch):
+        # one pass of the acceptance suite's 50 random circuits on the TTN
+        # and the MPS, exact: 12855 SVDs and 2207 QRs, as when the reveal
+        # ended on a leaf, but 26521 contractions into a node (45258 when
+        # threading moved each leaf into its parent, the reveal moved it
+        # back and the next walk moved it up again)
+        calls = Counter()
+        for name in ("svd_econ", "qr_econ"):
+            def counted(*args, _f=getattr(ttn, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(ttn, name, counted)
+
+        def contract(self, *args, _f=TtnState._contract, **kwargs):
+            calls["_contract"] += 1
+            return _f(self, *args, **kwargs)
+
+        monkeypatch.setattr(TtnState, "_contract", contract)
+        for i, child in enumerate(np.random.SeedSequence(20260810).spawn(50)):
+            rng = np.random.default_rng(child)
+            n = 4 + i % 9
+            c = random_circuit(rng, n, int(rng.integers(30, 61)))
+            run_circuit(c, find_tree_structure(c, default_cluster_count(n)))
+            mps_run_circuit(c)
+        assert calls == {"svd_econ": 12855, "qr_econ": 2207, "_contract": 26521}
+
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_gate_at_the_last_revealed_leaf_threads_without_a_walk(self, shape, monkeypatch):
-        # a gate leaves the center at the leaf it revealed last, so the next
-        # gate on that leaf's qubit, with the same partner (in either order)
-        # or another, moves nothing before threading: its only moves are
-        # threading's climbs, one gauge move up per path node, children
-        # first, the left chain (lower ids) before the right
+        # a gate leaves the center at the parent of the leaf it revealed
+        # last, so the next gate on that leaf's qubit, with the same partner
+        # (in either order) or another, moves nothing before threading: its
+        # only moves are threading's climbs, one gauge move up per path node
+        # above the leaves, children first, the left chain (lower ids) before
+        # the right; each leaf goes into its parent with its gate factor as
+        # one remainder, without a move
         rng = np.random.default_rng(47)
         for state, path, moves in self.threaded_gates(shape, monkeypatch):
             state.orthonormalize(EXACT, nodes=path)
             tree = state.tree
             last, first = sorted((n for n in path if tree.is_leaf(n)), reverse=True)
-            assert state.center == last
+            assert state.center == tree.parent[last]
             others = [q for q in range(tree.num_qubits) if tree.qubit_node[q] != last]
             for partner in (tree.leaf_qubit[first], others[int(rng.integers(len(others)))]):
                 g = Gate("u2", (partner, tree.leaf_qubit[last]), haar_unitary(4, rng))
@@ -378,7 +417,7 @@ class TestMixedCanonicalForm:
                 again = state.thread_two_qubit(g)
                 up_a, _, up_b = tree.path_between(*g.qubits)
                 chains = sorted((up_a, up_b), key=lambda up: up[-1])
-                assert moves == [("gauge", "up", nid) for up in chains for nid in up]
+                assert moves == [("gauge", "up", nid) for up in chains for nid in up[1:]]
                 state.orthonormalize(EXACT, nodes=again)
 
     def test_memory_cap_mid_circuit_leaves_state_canonical(self):
@@ -461,22 +500,36 @@ class TestOrthonormalize:
 
     def test_reveal_needs_its_leaves_below_the_center(self):
         # the binary-root gauge step relies on every revealed leaf lying
-        # below the center; after a gate the center rests at a leaf, so a
-        # reveal of any other leaf from there is refused before any move
+        # below the center; after a gate the center rests at the parent of
+        # a leaf, so a reveal of a leaf outside its subtree is refused
+        # before any move
         rng = np.random.default_rng(61)
         state = run_circuit(random_circuit(rng, 8, 20, p_single=0.0), perfect_tree(2, 3))
+        tree = state.tree
         center, tensors = state.center, list(state.tensors)
-        assert state.tree.is_leaf(center)
-        other = next(n for n in range(state.tree.num_nodes) if state.tree.is_leaf(n) and n != center)
-        for nodes in ([other], [center, other], [other, state.tree.parent[center]]):
+        assert not tree.is_leaf(center)
+        below, other = [], []
+        for nid in range(tree.num_nodes):
+            if tree.is_leaf(nid):
+                (below if center in tree.ancestors(nid) else other).append(nid)
+        for nodes in ([other[0]], [below[0], other[0]], [other[0], tree.parent[center]]):
             with pytest.raises(ValueError, match="below the center"):
                 state.orthonormalize(EXACT, nodes=nodes)
             assert state.center == center
             assert all(a is b for a, b in zip(state.tensors, tensors, strict=True))
         before = state.to_statevector()
-        state.orthonormalize(EXACT, nodes=[center])  # the center's own leaf: nothing to walk
+        state.orthonormalize(EXACT, nodes=below)  # the center's own leaves: no walk
         assert state.center == center
         assert np.allclose(state.to_statevector(), before, atol=1e-12)
+
+    def test_one_qubit_tree_has_nothing_to_reveal(self):
+        state = TtnState.basis_state(TreeTopology(0), [0])
+        state.apply(gates.h(0))
+        before = state.to_statevector()
+        for nodes in (None, [0]):
+            state.orthonormalize(EXACT, nodes=nodes)
+            assert state.center == 0
+            assert np.allclose(state.to_statevector(), before, atol=1e-15)
 
     def test_deep_comb_without_recursion(self):
         # deeper than the interpreter's default recursion limit
@@ -489,7 +542,8 @@ class TestOrthonormalize:
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
         state.orthonormalize(policy)  # the whole-tree sweep walks the comb too
-        assert state.center == state.tree.qubit_node[n - 1]  # the last leaf revealed
+        # the parent of the last leaf revealed
+        assert state.center == state.tree.parent[state.tree.qubit_node[n - 1]]
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
 

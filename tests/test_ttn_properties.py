@@ -8,6 +8,7 @@ runs on a copy whose center the engine first moved to the root, where the
 earlier sweep kept it."""
 
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from connectors import expand_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttnsim import gates
+from ttnsim import gates, ttn
 from ttnsim.circuits import Circuit
 from ttnsim.errors import MemoryCapExceeded
 from ttnsim.gates import Gate, haar_unitary, split_gate
@@ -387,8 +388,8 @@ class TestTie:
     @given(trees_and_circuits())
     def test_every_bond_lands_in_a_later_axis(self, case):
         # `_contract` has one tie path, for a bond fused into an axis after
-        # the contracted one: the leaves', the pass-through nodes' parent
-        # axes and, at the turning node, the right path child's axis
+        # the contracted one: the pass-through nodes' parent axes and, at
+        # the turning node, the right path child's axis
         circuit, topo = case
         state = TieState.basis_state(topo, [0] * circuit.num_qubits)
         state.ties = []
@@ -398,18 +399,58 @@ class TestTie:
         assert all(tied > axis for axis, tied in state.ties)
 
 
+def random_spec(draw, qubits):
+    """A random tree spec over `qubits`: each internal node splits its
+    qubits into two or three contiguous runs."""
+    if len(qubits) == 1:
+        return qubits[0]
+    arity = draw(st.integers(2, min(3, len(qubits))))
+    cuts = draw(st.lists(st.integers(1, len(qubits) - 1), min_size=arity - 1,
+                         max_size=arity - 1, unique=True))
+    bounds = [0] + sorted(cuts) + [len(qubits)]
+    return [random_spec(draw, qubits[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def leaf_at_root_trees_and_circuits(draw):
+    """Binary roots with a leaf as their first or as their second child, the
+    other child a random subtree (a leaf too on two qubits)."""
+    circuit = draw(circuits())
+    qubits = draw(st.permutations(range(circuit.num_qubits)))
+    leaf, rest = qubits[0], random_spec(draw, qubits[1:])
+    return circuit, TreeTopology([leaf, rest] if draw(st.booleans()) else [rest, leaf])
+
+
 class TestCenter:
-    @settings(max_examples=100)
-    @given(trees_and_circuits(), st.sampled_from(POLICIES))
-    def test_gate_leaves_the_center_at_its_last_revealed_leaf(self, case, policy):
-        # the reveal ends at the higher preorder id of the gate's two leaves
-        # and does not walk back; the next gate walks from there
+    @settings(max_examples=150)
+    @given(st.one_of(trees_and_circuits(), binary_root_trees_and_circuits(),
+                     leaf_at_root_trees_and_circuits()),
+           st.sampled_from(POLICIES))
+    def test_gate_leaves_the_center_at_its_last_leafs_parent(self, case, policy):
+        # the reveal splits each leaf edge in place at the leaf's parent and
+        # does not walk back: the center rests at the parent of the higher
+        # preorder id of the gate's two leaves, never on a leaf, and the
+        # last split normalizes the state there; each path edge takes one
+        # SVD, except a binary root's second edge when the gate turns there
         circuit, topo = case
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
-        for g in circuit.gates:
-            state.apply(g, policy)
-            assert state.center == max(topo.qubit_node[q] for q in g.qubits)
-            assert state.canonical_deviation() <= 1e-10
+        calls = []
+
+        def counted(*args, _f=svd_econ, **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+
+        binary = len(topo.children[0]) == 2
+        with patch.object(ttn, "svd_econ", counted):
+            for g in circuit.gates:
+                up_a, lca, up_b = topo.path_between(*g.qubits)
+                calls.clear()
+                state.apply(g, policy)
+                assert state.center == topo.parent[max(up_a[0], up_b[0])]
+                assert not topo.is_leaf(state.center)
+                assert state.canonical_deviation() < 1e-10
+                assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) <= 1e-12
+                assert len(calls) == len(up_a) + len(up_b) - (binary and lca == 0)
 
 
 def assert_root_edges_at_schmidt_rank(state):
