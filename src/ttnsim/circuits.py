@@ -22,14 +22,10 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("a circuit needs at least one qubit")
         for g in self.gates:
-            self._check(g)
-
-    def _check(self, g: Gate):
-        if any(q >= self.num_qubits or q < 0 for q in g.qubits):
-            raise ValueError(f"gate {g.label} on {g.qubits} is out of range for N={self.num_qubits}")
+            g.check_range(self.num_qubits)
 
     def append(self, g: Gate):
-        self._check(g)
+        g.check_range(self.num_qubits)
         self.gates.append(g)
 
     def two_qubit_gates(self) -> list[Gate]:

@@ -41,6 +41,8 @@ class Gate:
             raise ValueError(f"gate must act on 1 or 2 qubits, got {n}")
         if len(set(self.qubits)) != n:
             raise ValueError(f"gate qubits must be distinct, got {self.qubits}")
+        if min(self.qubits) < 0:
+            raise ValueError(f"gate qubits must be nonnegative, got {self.qubits}")
         dim = 2**n
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"{n}-qubit gate needs a {dim}x{dim} matrix, got {self.matrix.shape}")
@@ -53,6 +55,12 @@ class Gate:
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
+
+    def check_range(self, num_qubits: int):
+        """Raise ValueError unless the gate acts within qubits 0..num_qubits-1."""
+        if max(self.qubits) >= num_qubits:
+            raise ValueError(
+                f"gate {self.label} on {self.qubits} is out of range for N={num_qubits}")
 
     @cached_property
     def schmidt(self) -> tuple[np.ndarray, np.ndarray, int]:

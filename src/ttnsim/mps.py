@@ -3,12 +3,12 @@
 An MPS in a qubit-to-site order is a `TtnState` on `comb_topology(order)`,
 the tree [site 0, [site 1, ... [site n-2, site n-1]]]. Bond j is the edge
 above the spine node that holds sites j+1..n-1. It is a mixed canonical MPS:
-the orthogonality center, which carries the norm, is the parent of the
-leaf of the higher site j of the last two-qubit gate: site j's spine node
-(site n-2's for j = n-1, whose leaf sits beside site n-2's at the bottom of
-the comb), never site j's leaf, whose edge the reveal splits in place
-there. It is site n-2's spine node after a whole-chain sweep and the root,
-site 0's spine node, at the start; the sites left of it are left-canonical
+the orthogonality center, which carries the norm, rests on a spine node,
+never on a site's leaf: the reveal splits a leaf's edge in place at the
+spine node above it. After a two-qubit gate whose higher site is j it is
+site j's spine node (site n-2's for j = n-1, whose leaf sits beside site
+n-2's at the bottom of the comb), after a whole-chain sweep site n-2's, and
+at the start the root, site 0's; the sites left of it are left-canonical
 and those right of it right-canonical. A nearest-neighbour
 gate moves the center a few sites and factorizes only around its two sites,
 so its cost does not grow with the chain. A long-range two-qubit gate

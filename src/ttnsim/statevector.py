@@ -73,6 +73,7 @@ class DenseState:
 
     def apply(self, g: Gate, policy=None) -> "DenseState":
         """Apply one gate exactly; the truncation `policy` is ignored."""
+        g.check_range(self.num_qubits)
         self.vec = apply_gate(self.vec, g, self.num_qubits)
         return self
 

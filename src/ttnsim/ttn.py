@@ -7,52 +7,41 @@ one node, its orthogonality center (`TtnState.center`): every other tensor is
 an isometry onto the axis that points towards the center (its parent axis,
 unless the center lies below it), so the global norm is the center tensor's.
 
-A two-qubit gate first carries the center, by gauge-only moves along the
-tree, towards its turning node (the lowest common ancestor of its two
-leaves), but only up to the first node of the tree path between them. The
-gate is then Schmidt-split and its rank-k bond threaded through every node
-on that path. Neither the gated leaves nor the identity connectors that
-carry the bond are built: threading gauges the path below the turning node
-into it, each side's chain from its leaf up. Each leaf and its gate factor
-(the first one with the compensating 1/sqrt(k)) make one remainder that
-goes into the leaf's parent, the leaf becoming the identity, and each
-child's remainder is contracted through its connector as it goes into the
-parent. Those climbs carry the center the rest of the way: a path node
-needs no isometry before it is factored, and every node off the path
-already points towards the path, so towards the turning node. The bond
-index is fused as the major part of every axis it joins, and it only ever
-lands in a later axis of the node it goes into than the one contracted: a
-pass-through node's parent axis, the turning node's axis for its right
-path child. Contracting a connector writes each bond slice straight into
-its place in that axis. So every public method leaves the state canonical,
-and only the path below the turning node needs its edges re-split. A gate
-inside a subtree cannot change the Schmidt spectrum across any edge at or
-above its turning node, and nothing there is touched: on a comb (the MPS) a
-nearest-neighbour gate costs the same at every site.
+A two-qubit gate first walks the center, gauge-only, towards its turning
+node (the lowest common ancestor of its two leaves), but only up to the
+first node of the tree path between them. The gate is then
+Schmidt-split and its rank-k bond threaded through every node on that path:
+each path node below the turning node moves the center up into its parent,
+each side's chain from its leaf up, a leaf once its gate factor is folded in
+(the first one's with the compensating 1/sqrt(k)). Every node off the path
+already points towards the path, so these climbs leave the center at the
+turning node. The bond's identity connectors are never built: the bond index
+is fused as the major part of every axis it joins, and it only ever lands in
+a later axis of the node it goes into than the one contracted (a
+pass-through node's parent axis, the turning node's axis for its right path
+child), each slice written straight into its place.
 
-The sweep is the same for every truncation policy, the reveal: the center
-walks to each touched leaf's parent in turn, where the leaf's edge is split
-in place, and stays at the last one; each edge it descends, and each leaf
-edge, is split by SVD against the state's true Schmidt spectrum. Exact
-mode keeps each edge at its Schmidt rank there, and a truncating policy
-cuts there. The center never rests on a leaf, so no leaf's data crosses its
-edge more than once a gate. The one exception is a binary root's second
-edge. The root's parent axis has dimension 1, so both its edges cut the
-state the same way, and the split of the first already revealed that
-spectrum: the second is moved gauge-only, which leaves it at the first
-edge's dimension: the Schmidt rank in exact mode, the first edge's cut
-under a truncating policy. The whole-tree sweep walks the center to the
-root first and reveals every leaf, so it ends at the parent of the last
-leaf in preorder.
+Then the reveal, the same for every truncation policy: the center walks to
+each touched leaf's parent in turn, in preorder, and stays at the last one.
+Each edge it descends, and each leaf's edge, is split by SVD against the
+state's true Schmidt spectrum, where exact mode keeps the Schmidt rank and a
+truncating policy cuts. A leaf's edge is split in place at its parent, so
+the center never rests on a leaf and no leaf's data crosses its edge more
+than once a gate. The one edge the reveal crosses without an SVD is a binary
+root's second edge, once it has split the first: the root's parent axis has
+dimension 1, so both edges cut the state the same way, and a gauge-only move
+leaves the second at the first's dimension. A gate inside a subtree changes
+no Schmidt spectrum at or above its turning node, and nothing there is
+touched: on a comb (the MPS) a nearest-neighbour gate costs the same at every
+site. The whole-tree sweep walks the center to the root first and reveals
+every leaf, so it ends at the parent of the last leaf in preorder.
 
-Almost every step of all this is one operation, a matrix contracted into
-one axis of a node (`TtnState._contract`): a one-qubit gate into its leaf's
-physical axis, the remainder of a center move across one edge
-(`TtnState._move`, gauge-only or, in the reveal, by SVD) or of a leaf and
-its gate factor into the neighbour, through a bond's connector while
-threading, and, in the read-out, each node into its parent's axis for it.
-A leaf split (`TtnState._split_leaf`) instead writes the parent's share of
-its SVD straight into the parent's new tensor.
+Every step of all this is one of two operations. `TtnState._move` factors a
+node across one edge (gauge-only, or by SVD in the reveal) and contracts the
+remainder into the neighbour; `TtnState._contract` contracts a matrix into
+one axis of a node: a move's remainder (through a bond's connector while
+threading), a one-qubit gate into its leaf's physical axis, and in the
+read-out each node into its parent's axis for it.
 """
 
 import math
@@ -116,6 +105,7 @@ class TtnState:
         physical axis (dimensions never change); a two-qubit gate is
         threaded, then the path edges below its turning node are split under
         the given truncation policy (the reveal)."""
+        g.check_range(self.tree.num_qubits)
         if g.num_qubits == 1:
             self._contract(self.tree.qubit_node[g.qubits[0]], 0, g.matrix)
             return self
@@ -123,36 +113,19 @@ class TtnState:
 
     def thread_two_qubit(self, g: Gate) -> list[int]:
         """Split the gate, thread its bond along the leaf-leaf path and
-        leave the center at the gate's turning node.
+        leave the center at the gate's turning node, as the module docstring
+        describes, with the path edges not yet split to their Schmidt ranks.
 
-        The center first walks (`_move_center`) towards the turning node
-        only until it meets a node of the path (at once if it sits on the
-        path, as for a gate on the last revealed leaf's qubit: the center
-        rests at that leaf's parent). Then the path nodes below the
-        turning node move the center into it, the left chain (the one under
-        the turning node's lower child axis) and then the right one, each
-        from its leaf up. A leaf and its gate factor, the first leaf's
-        `g_a / sqrt(k)` so that the two factors make up the gate itself
-        (`split_gate`), make one (2, k*e) remainder with the new bond index
-        major, which goes into the parent as a move's remainder would; the
-        leaf becomes the identity (or, for a rank-1 gate on a rank-1 leaf,
-        the isometry of a QR, as `_move` factors it). A path node above
-        the leaves is factored whole (`_move`), whichever way it pointed,
-        and every node off the path already points towards the path. Each
-        child's remainder is contracted through the bond's identity
-        connector on its edge as it goes into the parent (`_contract`), so
-        the k-fold larger connector tensors never exist. Below a
-        pass-through node the connector ties the child's edge to the
-        parent's parent axis. Below the turning node the left chain's top
-        ties its edge to the right path child's axis, and the right chain's
-        top is then absorbed untied. The state is canonical around the
-        turning node again, with the path edges not yet split to their
-        Schmidt ranks.
+        Each path node below the turning node moves the center into its
+        parent (`_move`), whose `tie` contracts the bond's identity
+        connector on that edge: below a pass-through node into the parent's
+        parent axis, and from the left chain's top into the turning node's
+        axis for the right path child; the right chain's top goes in untied.
 
         Returns the path nodes below the turning node, `up_a + up_b`, each
-        chain from its leaf upwards: the following sweep reveals their
-        leaves. The memory cap is checked against the materialized
-        expansion, which bounds every tensor threading and the sweep build.
+        chain from its leaf upwards, for the reveal (`orthonormalize`). The
+        memory cap is checked against the materialized expansion, which
+        bounds every tensor threading and the sweep build.
         """
         if g.num_qubits != 2:
             raise ValueError("expected a two-qubit gate")
@@ -186,14 +159,9 @@ class TtnState:
             else:
                 tie = (len(self.tree.children[parent]), k)  # parent axis
             if nid in factors:
-                # the leaf and its factor as one (2, k*e) remainder, k major
+                # the leaf and its factor as one (2, k*e) tensor, k major
                 factor = factors[nid].transpose(0, 2, 1).reshape(2 * k, 2)
-                leaf = (factor @ self.tensors[nid]).reshape(2, -1)
-                if leaf.shape[1] >= 2:
-                    self.tensors[nid] = np.eye(2, dtype=leaf.dtype)
-                    self._contract(parent, self.tree.child_index(nid), leaf, tie)
-                    continue
-                self.tensors[nid] = leaf  # (2, 1): a QR keeps its edge at 1
+                self.tensors[nid] = (factor @ self.tensors[nid]).reshape(2, -1)
             self._move(nid, parent, tie=tie)
         self.center = lca
         return up_a + up_b
@@ -221,21 +189,20 @@ class TtnState:
         place of the old axis, and contract the remainder into `dst`
         (`_contract`, through the connector `tie`).
 
-        Without a policy the move is gauge-only, no rank search: with no
-        more rows than columns `iso` is the identity and the whole matrix
-        is the remainder, otherwise a reduced QR keeps the edge at the
-        column count. Under `policy` (the sweep's reveal, with every other
-        node isometric towards `src`) the SVD yields the state's true
-        Schmidt spectrum across the edge, which both exposes the minimal
-        edge dimension and is where the policy truncates."""
+        Without a policy the move is gauge-only: with no more rows than
+        columns `iso` is the identity and the whole matrix the remainder,
+        otherwise a reduced QR keeps the edge at the column count. Under
+        `policy` (the reveal, every other node isometric towards `src`) it
+        is the SVD, the state's Schmidt spectrum across the edge, cut by
+        `policy.rank`; a cut renormalizes the kept values. Into a leaf the
+        SVD splits the edge in place: `src` keeps `u s` and the leaf becomes
+        `leaf @ v_dag.T`, so the center stays at `src`. A failed
+        factorization is raised again as `node {src}: ...`."""
         axis = self._axis(src, dst)
         mat = self._matricize(src, axis)
         try:
             if policy is not None:
                 fac = svd_econ(mat, threshold=RANK_TOL)
-                keep, capped = policy.rank(fac.s)
-                self.cap_events += capped
-                iso, remainder = fac.u[:, :keep], fac.s[:keep, None] * fac.v_dag[:keep]
             elif mat.shape[0] <= mat.shape[1]:
                 iso, remainder = np.eye(mat.shape[0], dtype=mat.dtype), mat
             else:
@@ -243,6 +210,26 @@ class TtnState:
         except FactorizationError as exc:
             raise FactorizationError(f"node {src}: {exc}") from exc
         t = self.tensors[src]
+        if policy is not None:
+            keep, capped = policy.rank(fac.s)
+            self.cap_events += capped
+            s = fac.s[:keep]
+            if keep < len(fac.s):
+                nrm = np.linalg.norm(s)
+                if nrm == 0:
+                    raise FactorizationError("state collapsed to zero norm")
+                s = s / nrm
+            if self.tree.is_leaf(dst):
+                # u's rows are src's other axes in order: its kept columns,
+                # scaled by s, go straight into `axis`
+                before = math.prod(t.shape[:axis])
+                out = np.empty(t.shape[:axis] + (keep,) + t.shape[axis + 1:], fac.u.dtype)
+                np.multiply(fac.u[:, :keep].reshape(before, -1, keep).transpose(0, 2, 1),
+                            s[:, None], out=out.reshape(before, keep, -1))
+                self.tensors[src] = out
+                self.tensors[dst] = self.tensors[dst] @ fac.v_dag[:keep].T
+                return
+            iso, remainder = fac.u[:, :keep], s[:, None] * fac.v_dag[:keep]
         new = iso.shape[1]
         # `_matricize` undone: the new edge goes back to `axis`
         stacked = iso.reshape(math.prod(t.shape[:axis]), -1, new).transpose(0, 2, 1)
@@ -301,18 +288,9 @@ class TtnState:
         """Carry the orthogonality center to `target` along the tree path
         (`TreeTopology.path`), one `_move` per edge: gauge-only while it
         climbs to the lowest common ancestor of the two, then gauge-only or,
-        under `policy`, by SVD (the sweep's reveal) while it descends. Edge
-        dimensions never grow. The reveal walks to each revealed leaf's
-        parent, never to the leaf: `_split_leaf` splits the leaf's edge in
-        place.
-
-        With `gauge_root` (a binary root whose first edge the reveal has
-        already split) a walk through the root descends into its second
-        child gauge-only. Both root edges cut the state the same way (the
-        root's parent axis has dimension 1): the root is then a (keep x d)
-        matrix of full row rank with keep <= d, so the gauge move leaves the
-        second edge at keep (the Schmidt rank in exact mode), and a second
-        SVD would only re-derive the spectrum."""
+        under `policy`, by SVD while it descends. With `gauge_root` (a
+        binary root whose first edge the reveal has split) a walk through
+        the root descends into its second child gauge-only."""
         up, top, down = self.tree.path(self.center, target)
         parent = self.tree.parent
         for node in up:
@@ -323,78 +301,20 @@ class TtnState:
             self._move(parent[child], child, policy)
         self.center = target
 
-    def _split_leaf(self, leaf: int, policy: TruncationPolicy | None, last: bool):
-        """Split the edge between `leaf` and its parent, the center, in
-        place: the SVD of the parent matricized against the leaf's axis,
-        `u s v_dag` cut by `policy.rank`. The parent keeps `u s`, written
-        once into its new tensor in its own axis order, so the center stays
-        there; the leaf becomes `leaf @ v_dag.T`, an isometry towards it.
-        The reveal's `last` split divides its kept `s` by their norm, which
-        normalizes the state.
-
-        Without a policy the split is gauge-only: the second edge of a
-        binary root whose first edge the reveal has split (`_move_center`).
-        The root is then a (d x e) matrix with d <= e <= 2 (the leaf's
-        edge), and the leaf is the reveal's last. With d = e the root is
-        only normalized; with d = 1 < e the leaf takes the root's one
-        normalized row, and the root becomes 1."""
-        parent = self.center
-        t = self.tensors[parent]
-        if policy is None:
-            mat = t.reshape(t.shape[:2])
-            nrm = np.linalg.norm(mat)
-            if nrm == 0:
-                raise FactorizationError("state collapsed to zero norm")
-            if mat.shape[0] == mat.shape[1]:
-                self.tensors[parent] = t / nrm
-            else:
-                self.tensors[leaf] = self.tensors[leaf] @ (mat.T / nrm)
-                self.tensors[parent] = np.ones((1, 1, 1), t.dtype)
-            return
-        axis = self.tree.child_index(leaf)
-        try:
-            fac = svd_econ(self._matricize(parent, axis), threshold=RANK_TOL)
-        except FactorizationError as exc:
-            raise FactorizationError(f"node {parent}: {exc}") from exc
-        keep, capped = policy.rank(fac.s)
-        self.cap_events += capped
-        s = fac.s[:keep]
-        if last:
-            nrm = np.linalg.norm(s)
-            if nrm == 0:
-                raise FactorizationError("state collapsed to zero norm")
-            s = s / nrm
-        # u's rows are the parent's other axes in order: its kept columns,
-        # scaled by s, go straight into `axis`
-        before = math.prod(t.shape[:axis])
-        out = np.empty(t.shape[:axis] + (keep,) + t.shape[axis + 1:], fac.u.dtype)
-        np.multiply(fac.u[:, :keep].reshape(before, -1, keep).transpose(0, 2, 1), s[:, None],
-                    out=out.reshape(before, keep, -1))
-        self.tensors[parent] = out
-        self.tensors[leaf] = self.tensors[leaf] @ fac.v_dag[:keep].T
-
     def orthonormalize(self, policy: TruncationPolicy = EXACT, nodes=None):
         """Re-orthonormalization sweep, the same for every policy: the
-        reveal of the leaves among `nodes`, as for the path nodes that
-        `thread_two_qubit` returns. With None, the center first walks to
-        the root (`_move_center`) and every leaf is revealed.
+        reveal (see the module docstring) of the leaves among `nodes`, as
+        `thread_two_qubit` returns them. With None, the center first walks
+        to the root and every leaf is revealed.
 
-        The center walks under the policy (`_move_center`) to each leaf's
-        parent, in ascending (preorder) leaf id order, and the leaf's edge
-        is split there in place (`_split_leaf`): the center never rests on
-        a leaf, and stays at the last revealed leaf's parent. Consecutive
-        walks meet at the leaves' lowest common ancestor, so each edge on
-        the way is split once, by SVD against the state's true Schmidt
-        spectrum: exact mode drops only numerically zero values, so every
-        edge ends at its Schmidt rank, and a truncating policy cuts there.
-        The exception is a binary root's second edge: once the reveal has
-        split a root edge (it starts at the root, and its first walk or
-        leaf split does so), the second is moved gauge-only, by a walk
-        (`_move_center`) or in place at the root (`_split_leaf`), which
-        keeps it at the Schmidt rank; so the leaves must lie below the
-        center, as a thread's do. Raises ValueError, before any move, for a
-        leaf that does not. No edge ends above its threaded dimension; the
-        last split normalizes the state.
+        Each edge on the way is split once by SVD, in exact mode to its
+        Schmidt rank, and where a truncating policy cuts, it renormalizes
+        the state; exact mode does not rescale. The exception is a binary
+        root's second edge, descended gauge-only once the first is split,
+        so the leaves must lie below the center, as a thread's do: raises
+        ValueError, before any move, for a leaf that does not. No edge ends
+        above its threaded dimension, and the center ends at the parent of
+        the last revealed leaf.
         """
         tree = self.tree
         # a lone root leaf (one qubit) has no edge to split
@@ -408,9 +328,8 @@ class TtnState:
                     raise ValueError(f"leaf {leaf} does not lie below the center {self.center}")
         binary_root = self.center == 0 and len(tree.children[0]) == 2
         for i, leaf in enumerate(leaves):
-            parent, gauge = tree.parent[leaf], binary_root and i > 0
-            self._move_center(parent, policy, gauge)
-            self._split_leaf(leaf, None if gauge and parent == 0 else policy, leaf == leaves[-1])
+            self._move_center(tree.parent[leaf], policy, binary_root and i > 0)
+            self._move(self.center, leaf, policy)
         return self
 
     def canonical_deviation(self) -> float:

@@ -429,9 +429,9 @@ class TestCenter:
     def test_gate_leaves_the_center_at_its_last_leafs_parent(self, case, policy):
         # the reveal splits each leaf edge in place at the leaf's parent and
         # does not walk back: the center rests at the parent of the higher
-        # preorder id of the gate's two leaves, never on a leaf, and the
-        # last split normalizes the state there; each path edge takes one
-        # SVD, except a binary root's second edge when the gate turns there
+        # preorder id of the gate's two leaves, never on a leaf, with the
+        # state's norm; each path edge takes one SVD, except a binary root's
+        # second edge, not a leaf's, when the gate turns there
         circuit, topo = case
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
         calls = []
@@ -440,7 +440,8 @@ class TestCenter:
             calls.append(1)
             return _f(*args, **kwargs)
 
-        binary = len(topo.children[0]) == 2
+        children = topo.children[0]
+        gauged = len(children) == 2 and not topo.is_leaf(children[1])
         with patch.object(ttn, "svd_econ", counted):
             for g in circuit.gates:
                 up_a, lca, up_b = topo.path_between(*g.qubits)
@@ -450,7 +451,7 @@ class TestCenter:
                 assert not topo.is_leaf(state.center)
                 assert state.canonical_deviation() < 1e-10
                 assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) <= 1e-12
-                assert len(calls) == len(up_a) + len(up_b) - (binary and lca == 0)
+                assert len(calls) == len(up_a) + len(up_b) - (gauged and lca == 0)
 
 
 def assert_root_edges_at_schmidt_rank(state):

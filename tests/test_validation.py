@@ -4,9 +4,11 @@ raises ValueError before any work is done."""
 import numpy as np
 import pytest
 
+from ttnsim import gates
 from ttnsim.circuits import Circuit
 from ttnsim.gates import Gate
-from ttnsim.statevector import basis_vector, sv_simulate
+from ttnsim.mps import MpsState
+from ttnsim.statevector import DenseState, basis_vector, sv_simulate
 from ttnsim.tensors import qr_econ, svd_econ
 from ttnsim.topology import perfect_tree
 from ttnsim.treesearch import SimilarityMatrix, cluster, create_subtree, find_tree_structure
@@ -43,3 +45,19 @@ def test_numpy_integers_pass_as_ints():
     c = Circuit(np.int64(2), [g])
     assert g.qubits == (1, 0) and c.num_qubits == 2
     assert all(type(q) is int for q in g.qubits + (c.num_qubits,))
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: DenseState([0, 0, 0]),
+    lambda: TtnState.basis_state(perfect_tree(3, 1), [0, 0, 0]),
+    lambda: MpsState.basis_state(3, [0, 0, 0]),
+], ids=["dense", "ttn", "mps"])
+@pytest.mark.parametrize("qubit", [3, -1])
+def test_gate_outside_the_engines_qubits_rejected(engine, qubit):
+    # Gate refuses qubit -1 itself, and each engine's apply refuses qubit 3
+    # before it touches the state
+    state = engine()
+    for make in (lambda: gates.x(qubit), lambda: gates.cnot(qubit, 1)):
+        with pytest.raises(ValueError, match="out of range|nonnegative"):
+            state.apply(make())
+    assert np.array_equal(state.to_statevector(), basis_vector([0, 0, 0]))
