@@ -59,8 +59,14 @@ class DryRunReport:
 
 
 def _tree_entries(dims: list, tree: TreeTopology) -> int:
+    """Entries as the TTN engine stores them. A binary root over an internal
+    child is spliced into that child: both root edges are at one dimension
+    (the min rule, as the root's parent axis is 1), so the child's entries
+    are the spliced node's and the root adds none."""
+    root_kids = tree.children[0]
+    spliced = len(root_kids) == 2 and not all(map(tree.is_leaf, root_kids))
     return sum((math.prod(dims[c] for c in kids) if kids else 2) * dims[nid]
-               for nid, kids in enumerate(tree.children))
+               for nid, kids in enumerate(tree.children) if nid or not spliced)
 
 
 def _crossings(circuit: Circuit, tree: TreeTopology):

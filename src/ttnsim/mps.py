@@ -2,20 +2,22 @@
 
 An MPS in a qubit-to-site order is a `TtnState` on `comb_topology(order)`,
 the tree [site 0, [site 1, ... [site n-2, site n-1]]]. Bond j is the edge
-above the spine node that holds sites j+1..n-1. It is a mixed canonical MPS:
-the orthogonality center, which carries the norm, rests on a spine node,
-never on a site's leaf: the reveal splits a leaf's edge in place at the
-spine node above it. After a two-qubit gate whose higher site is j it is
-site j's spine node (site n-2's for j = n-1, whose leaf sits beside site
-n-2's at the bottom of the comb), after a whole-chain sweep site n-2's, and
-at the start the root, site 0's; the sites left of it are left-canonical
-and those right of it right-canonical. A nearest-neighbour
-gate moves the center a few sites and factorizes only around its two sites,
-so its cost does not grow with the chain. A long-range two-qubit gate
-threads its bond along the spine, multiplying every bond between its sites
-by k, which is exactly the cost model the tree engine is compared against;
-as on any tree, the spine nodes' identity connectors are not built but
-contracted as the bond is threaded.
+above the spine node that holds sites j+1..n-1. The engine splices the
+comb's binary root into its spine (for n > 2), so its top node holds site
+0, site 1 and the spine below them: bond 0 is stored as site 0's leaf edge,
+which `bond_dims` reports. It is a mixed canonical MPS: the orthogonality
+center, which carries the norm, rests on a spine node, never on a site's
+leaf: the reveal splits a leaf's edge in place at the spine node above it.
+After a two-qubit gate whose higher site is j it is the spine node that
+holds site j's leaf (the top node for j <= 1, site n-2's for j = n-1), after
+a whole-chain sweep site n-2's, and at the start the top node; the sites
+left of it are left-canonical and those right of it right-canonical. A
+nearest-neighbour gate moves the center a few sites and factorizes only
+around its two sites, so its cost does not grow with the chain. A long-range
+two-qubit gate threads its bond along the spine, multiplying every bond
+between its sites by k, which is exactly the cost model the tree engine is
+compared against; as on any tree, the spine nodes' identity connectors are
+not built but contracted as the bond is threaded.
 Sizes are reported per site as an MPS stores them: (left bond, physical=2,
 right bond).
 """

@@ -98,10 +98,11 @@ def sv_simulate(c: Circuit, bits=None, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for two normalized pure states."""
+    """|<a|b>|^2 for two normalized pure states, clamped to [0, 1]: a state
+    that rounding left a few ulps off unit norm does not read above 1."""
     if a.shape != b.shape:
         raise ValueError(f"state sizes differ: {a.shape} vs {b.shape}")
-    return float(np.abs(np.vdot(a, b)) ** 2)
+    return min(1.0, float(np.abs(np.vdot(a, b)) ** 2))
 
 
 def overlap_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -109,4 +110,4 @@ def overlap_error(a: np.ndarray, b: np.ndarray) -> float:
 
     Symmetric and invariant under a global phase of either argument.
     """
-    return max(0.0, 1.0 - fidelity(a, b))
+    return 1.0 - fidelity(a, b)

@@ -2,10 +2,13 @@
 
 A state is one tensor per tree node: leaves carry (physical=2, parent) axes,
 internal nodes one axis per child plus a parent axis, and the root's parent
-axis is a dimension-1 dummy. The state is kept in mixed canonical form around
-one node, its orthogonality center (`TtnState.center`): every other tensor is
-an isometry onto the axis that points towards the center (its parent axis,
-unless the center lies below it), so the global norm is the center tensor's.
+axis is a dimension-1 dummy, so a binary root's two edges are one edge: the
+engine stores such a root spliced into its first internal child (`_spliced`),
+`[A, B]` as `[*A, B]` and `[a, B]` as `[a, *B]` for a leaf `a`. The state is
+kept in mixed canonical form around one node, its orthogonality center
+(`TtnState.center`): every other tensor is an isometry onto the axis that
+points towards the center (its parent axis, unless the center lies below
+it), so the global norm is the center tensor's.
 
 A two-qubit gate first walks the center, gauge-only, towards its turning
 node (the lowest common ancestor of its two leaves), but only up to the
@@ -27,14 +30,11 @@ Each edge it descends, and each leaf's edge, is split by SVD against the
 state's true Schmidt spectrum, where exact mode keeps the Schmidt rank and a
 truncating policy cuts. A leaf's edge is split in place at its parent, so
 the center never rests on a leaf and no leaf's data crosses its edge more
-than once a gate. The one edge the reveal crosses without an SVD is a binary
-root's second edge, once it has split the first: the root's parent axis has
-dimension 1, so both edges cut the state the same way, and a gauge-only move
-leaves the second at the first's dimension. A gate inside a subtree changes
-no Schmidt spectrum at or above its turning node, and nothing there is
-touched: on a comb (the MPS) a nearest-neighbour gate costs the same at every
-site. The whole-tree sweep walks the center to the root first and reveals
-every leaf, so it ends at the parent of the last leaf in preorder.
+than once a gate. A gate inside a subtree changes no Schmidt spectrum at or
+above its turning node, and nothing there is touched: on a comb (the MPS) a
+nearest-neighbour gate costs the same at every site. The whole-tree sweep
+walks the center to the root first and reveals every leaf, so it ends at the
+parent of the last leaf in preorder.
 
 Every step of all this is one of two operations. `TtnState._move` factors a
 node across one edge (gauge-only, or by SVD in the reveal) and contracts the
@@ -56,13 +56,43 @@ from .tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
 from .topology import TreeTopology
 
 
+def _spliced(tree: TreeTopology):
+    """The tree the engine stores a state of `tree` on, and the map from
+    `tree`'s edges (by child id) to its own: `tree` itself, unless its root
+    is binary over an internal child, into the first of which the root is
+    then spliced (see the module docstring). Leaf preorder is unchanged; that
+    child's id goes, the ids after it move down by one, and its edge maps to
+    the other root child's. Built on first use and kept with `tree`."""
+    if hasattr(tree, "_spliced"):
+        return tree._spliced
+    kids = tree.children[0]
+    internal = [c for c in kids if not tree.is_leaf(c)]
+    if len(kids) == 2 and internal:
+        cut = internal[0]
+        other = kids[1] if cut == kids[0] else kids[0]
+        specs = [None] * tree.num_nodes
+        for nid in tree.postorder[:-1]:
+            specs[nid] = [specs[c] for c in tree.children[nid]] or tree.leaf_qubit[nid]
+        spec = [*specs[cut], specs[other]] if cut == kids[0] else [specs[other], *specs[cut]]
+        edge = [nid - (nid > cut) for nid in range(tree.num_nodes)]
+        edge[cut] = edge[other]
+        tree._spliced = TreeTopology(spec), edge
+    else:
+        tree._spliced = tree, range(tree.num_nodes)
+    return tree._spliced
+
+
 class TtnState:
     """Mutable TTN statevector over a fixed tree topology, in mixed canonical
-    form around the node `center` (the root at construction)."""
+    form around the node `center` (the root at construction). `center`,
+    `tensors` and the node ids that `thread_two_qubit` returns and
+    `orthonormalize` takes are those of the spliced tree (`_spliced`) the
+    engine walks; `edge_dim` takes `tree`'s edge ids."""
 
     def __init__(self, tree: TreeTopology, tensors: list[np.ndarray],
                  memory_cap: int = DEFAULT_MEMORY_CAP):
         self.tree = tree
+        self._tree, self._edge = _spliced(tree)
         self.tensors = tensors
         self.memory_cap = memory_cap
         self.cap_events = 0
@@ -80,13 +110,14 @@ class TtnState:
             raise ValueError(f"expected {tree.num_qubits} bits, got {len(bits)}")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
+        spliced = _spliced(tree)[0]
         tensors = []
-        for nid in range(tree.num_nodes):
-            q = tree.leaf_qubit[nid]
+        for nid in range(spliced.num_nodes):
+            q = spliced.leaf_qubit[nid]
             if q is not None:
                 tensors.append(np.array([[1.0 - bits[q]], [bits[q]]], dtype=np.complex128))
             else:
-                tensors.append(np.ones([1] * (len(tree.children[nid]) + 1), dtype=np.complex128))
+                tensors.append(np.ones([1] * (len(spliced.children[nid]) + 1), dtype=np.complex128))
         entries = sum(t.size for t in tensors)
         if entries > memory_cap:
             raise MemoryCapExceeded(f"basis state needs {entries} entries (cap {memory_cap})")
@@ -105,9 +136,9 @@ class TtnState:
         physical axis (dimensions never change); a two-qubit gate is
         threaded, then the path edges below its turning node are split under
         the given truncation policy (the reveal)."""
-        g.check_range(self.tree.num_qubits)
         if g.num_qubits == 1:
-            self._contract(self.tree.qubit_node[g.qubits[0]], 0, g.matrix)
+            g.check_range(self.tree.num_qubits)
+            self._contract(self._tree.qubit_node[g.qubits[0]], 0, g.matrix)
             return self
         return self.orthonormalize(policy, nodes=self.thread_two_qubit(g))
 
@@ -129,12 +160,14 @@ class TtnState:
         """
         if g.num_qubits != 2:
             raise ValueError("expected a two-qubit gate")
+        g.check_range(self.tree.num_qubits)
+        tree = self._tree
         qa, qb = g.qubits
         g_a, g_b, k = split_gate(g)
-        up_a, lca, up_b = self.tree.path_between(qa, qb)
+        up_a, lca, up_b = tree.path_between(qa, qb)
         # threading's climbs carry the center from any path node to the
         # turning node, so it walks only to the first path node it meets
-        up, _, down = self.tree.path(self.center, lca)
+        up, _, down = tree.path(self.center, lca)
         on_path = set(up_a + up_b)
         self._move_center(lca if down else next((n for n in up if n in on_path), lca))
 
@@ -151,13 +184,13 @@ class TtnState:
         factors = {up_a[0]: g_a / math.sqrt(k), up_b[0]: g_b}  # (out, in, k)
         left, right = sorted((up_a, up_b), key=lambda up: up[-1])  # preorder ids
         for nid in left + right:
-            parent = self.tree.parent[nid]
+            parent = tree.parent[nid]
             if nid == right[-1]:
                 tie = None
             elif nid == left[-1]:
-                tie = (self.tree.child_index(right[-1]), k)
+                tie = (tree.child_index(right[-1]), k)
             else:
-                tie = (len(self.tree.children[parent]), k)  # parent axis
+                tie = (len(tree.children[parent]), k)  # parent axis
             if nid in factors:
                 # the leaf and its factor as one (2, k*e) tensor, k major
                 factor = factors[nid].transpose(0, 2, 1).reshape(2 * k, 2)
@@ -171,9 +204,9 @@ class TtnState:
     def _axis(self, nid: int, neighbour: int) -> int:
         """Node `nid`'s axis towards its tree neighbour `neighbour`: the
         parent axis is last, a child axis is that child's index."""
-        if neighbour == self.tree.parent[nid]:
+        if neighbour == self._tree.parent[nid]:
             return self.tensors[nid].ndim - 1
-        return self.tree.child_index(neighbour)
+        return self._tree.child_index(neighbour)
 
     def _matricize(self, nid: int, axis: int) -> np.ndarray:
         """Node `nid` matricized against `axis`: that axis as columns,
@@ -219,7 +252,7 @@ class TtnState:
                 if nrm == 0:
                     raise FactorizationError("state collapsed to zero norm")
                 s = s / nrm
-            if self.tree.is_leaf(dst):
+            if self._tree.is_leaf(dst):
                 # u's rows are src's other axes in order: its kept columns,
                 # scaled by s, go straight into `axis`
                 before = math.prod(t.shape[:axis])
@@ -283,20 +316,15 @@ class TtnState:
                   out=view)
         self.tensors[nid] = out
 
-    def _move_center(self, target: int, policy: TruncationPolicy | None = None,
-                     gauge_root: bool = False):
+    def _move_center(self, target: int, policy: TruncationPolicy | None = None):
         """Carry the orthogonality center to `target` along the tree path
         (`TreeTopology.path`), one `_move` per edge: gauge-only while it
         climbs to the lowest common ancestor of the two, then gauge-only or,
-        under `policy`, by SVD while it descends. With `gauge_root` (a
-        binary root whose first edge the reveal has split) a walk through
-        the root descends into its second child gauge-only."""
-        up, top, down = self.tree.path(self.center, target)
-        parent = self.tree.parent
+        under `policy`, by SVD while it descends."""
+        up, _, down = self._tree.path(self.center, target)
+        parent = self._tree.parent
         for node in up:
             self._move(node, parent[node])
-        if gauge_root and down and top == 0:
-            self._move(top, down.pop())
         for child in reversed(down):
             self._move(parent[child], child, policy)
         self.center = target
@@ -307,41 +335,36 @@ class TtnState:
         `thread_two_qubit` returns them. With None, the center first walks
         to the root and every leaf is revealed.
 
-        Each edge on the way is split once by SVD, in exact mode to its
-        Schmidt rank, and where a truncating policy cuts, it renormalizes
-        the state; exact mode does not rescale. The exception is a binary
-        root's second edge, descended gauge-only once the first is split,
-        so the leaves must lie below the center, as a thread's do: raises
-        ValueError, before any move, for a leaf that does not. No edge ends
-        above its threaded dimension, and the center ends at the parent of
-        the last revealed leaf.
+        Each edge the center descends, and each leaf's edge, is split once
+        by SVD at the center, against the state's Schmidt spectrum: in exact
+        mode to its Schmidt rank, and where a truncating policy cuts, it
+        renormalizes the state; exact mode does not rescale. The climbs are
+        gauge-only, so the leaves may lie anywhere. No edge ends above its
+        threaded dimension, and the center ends at the parent of the last
+        revealed leaf.
         """
-        tree = self.tree
+        tree = self._tree
         # a lone root leaf (one qubit) has no edge to split
         if nodes is None:
             self._move_center(0)
             leaves = [nid for nid in range(1, tree.num_nodes) if tree.is_leaf(nid)]
         else:
             leaves = sorted(nid for nid in nodes if nid != 0 and tree.is_leaf(nid))
-            for leaf in leaves:
-                if tree.path(leaf, self.center)[2]:
-                    raise ValueError(f"leaf {leaf} does not lie below the center {self.center}")
-        binary_root = self.center == 0 and len(tree.children[0]) == 2
-        for i, leaf in enumerate(leaves):
-            self._move_center(tree.parent[leaf], policy, binary_root and i > 0)
+        for leaf in leaves:
+            self._move_center(tree.parent[leaf], policy)
             self._move(self.center, leaf, policy)
         return self
 
     def canonical_deviation(self) -> float:
         """Largest deviation of any non-center node from its isometry
         condition towards the center."""
-        chain = self.tree.ancestors(self.center)
+        chain = self._tree.ancestors(self.center)
         toward = dict(zip(chain[1:], chain))  # center's ancestors: child towards it
         worst = 0.0
-        for nid in range(self.tree.num_nodes):
+        for nid in range(self._tree.num_nodes):
             if nid == self.center:
                 continue
-            mat = self._matricize(nid, self._axis(nid, toward.get(nid, self.tree.parent[nid])))
+            mat = self._matricize(nid, self._axis(nid, toward.get(nid, self._tree.parent[nid])))
             gram = mat.conj().T @ mat
             worst = max(worst, float(np.linalg.norm(gram - np.eye(mat.shape[1]))))
         return worst
@@ -363,8 +386,8 @@ class TtnState:
         # axis becomes the node's qubits; a loop, not recursion, as combs are
         # deep. The root's axes end up as the qubits in preorder.
         walk = TtnState(self.tree, list(self.tensors))
-        for nid in self.tree.postorder[:-1]:
-            parent = self.tree.parent[nid]
+        for nid in self._tree.postorder[:-1]:
+            parent = self._tree.parent[nid]
             walk._contract(parent, walk._axis(parent, nid),
                            walk._matricize(nid, walk._axis(nid, parent)))
             walk.tensors[nid] = None  # contracted: drop it
@@ -374,8 +397,9 @@ class TtnState:
         return np.ascontiguousarray(vec.transpose(perm)).reshape(-1)
 
     def edge_dim(self, child_id: int) -> int:
-        """Dimension of the edge between `child_id` and its parent."""
-        return self.tensors[child_id].shape[-1]
+        """Dimension of the edge between `child_id` and its parent in `tree`;
+        both children of a spliced root report the one edge's."""
+        return self.tensors[self._edge[child_id]].shape[-1]
 
     def metrics(self) -> StateMetrics:
         d_max = max(max(t.shape) for t in self.tensors)

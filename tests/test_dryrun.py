@@ -89,6 +89,24 @@ class TestDryRunTree:
         assert ev.k == 2
         assert len(ev.edges) == 4  # two leaf edges plus two internal edges
 
+    @pytest.mark.parametrize("spec, entries", [
+        # the binary root is spliced into its first child: a (2, 1, 2, 1)
+        # top node, a (1, 2, 2) node and leaves (2, 2), (2, 1), (2, 1),
+        # (2, 2)
+        (perfect_tree(2, 2), 4 + 4 + (4 + 2 + 2 + 4)),
+        # a leaf first: spliced into the other child the same way
+        (TreeTopology([0, [1, [2, 3]]]), 4 + 4 + (4 + 2 + 2 + 4)),
+        # a root over two leaves stays: (2, 2, 1) and leaves 2 x (2, 2)
+        (TreeTopology([0, 1]), 4 + (4 + 4)),
+    ], ids=["perfect", "leaf-first", "two-leaves"])
+    def test_entries_count_a_binary_root_as_the_engine_stores_it(self, spec, entries):
+        # a Bell pair across the root: here every dry-run edge is the
+        # engine's, so the two count the same entries
+        n = spec.num_qubits
+        c = Circuit(n, [gates.h(0), gates.cnot(0, n - 1)])
+        rep = dryrun(c, spec)
+        assert rep.m_entries == ttn_run_circuit(c, spec).metrics().m_entries == entries
+
     @pytest.mark.parametrize("case", ["lattice-planned", "lattice-comb", "triangle-81"])
     def test_min_rule_reads_each_path_there_and_back(self, case, monkeypatch):
         if case == "triangle-81":

@@ -13,7 +13,6 @@ from ttnsim.gates import Gate, haar_unitary, split_gate
 from ttnsim.mps import MpsState, run_circuit
 from ttnsim.statevector import fidelity, sv_simulate
 from ttnsim.tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
-from ttnsim.topology import comb_bond_edges
 from ttnsim.treesearch import find_tree_structure
 from ttnsim.ttn import run_circuit as ttn_run_circuit
 
@@ -74,20 +73,22 @@ class TestGateApplication:
         assert state.bond_dims()[0] == 2
 
     def test_long_range_gate_threads_through_middle(self):
-        state = MpsState.basis_state(3, [0, 0, 0])
-        state.apply(gates.h(0))
-        path = state.thread_two_qubit(gates.cnot(0, 2))
-        # the bond is threaded through the middle site's spine node: once
-        # swept, it carries bond 1 and bond 0 at the cnot's rank 2 and site
-        # 1's leaf edge stays a product, (site 1's leaf edge, bond 1, bond 0)
-        spine = comb_bond_edges(state.tree)[0]
+        state = MpsState.basis_state(4, [0, 0, 0, 0])
+        state.apply(gates.h(1))
+        path = state.thread_two_qubit(gates.cnot(1, 3))
+        # the top node holds sites 0 and 1 and the spine, the spine node
+        # below it sites 2 and 3; the bond is threaded through that spine
+        # node: once swept, it carries bond 2 and bond 1 at the cnot's rank
+        # 2 and site 2's leaf edge stays a product, (site 2's leaf edge,
+        # bond 2, bond 1)
+        spine = state._tree.children[0][-1]
         assert spine in path and state.center == 0
         state.orthonormalize(EXACT, nodes=path)
         assert state.tensors[spine].shape == (1, 2, 2)
-        assert state.bond_dims() == [2, 2]
+        assert state.bond_dims() == [1, 2, 2]
         vec = state.to_statevector()
         root2 = 1 / np.sqrt(2)
-        assert np.allclose(vec, [root2, 0, 0, 0, 0, root2, 0, 0], atol=1e-12)
+        assert np.allclose(vec, root2 * np.eye(16)[[0b0000, 0b0101]].sum(axis=0), atol=1e-12)
 
     def test_threading_keeps_intermediates_canonical(self):
         rng = np.random.default_rng(3)
@@ -95,16 +96,18 @@ class TestGateApplication:
         state = MpsState.basis_state(6, [0] * 6)
         for g in c.gates:
             state.apply(g)
-        sa, sb = 1, 5
+        sa, sb = 2, 5
         state.thread_two_qubit(Gate("u2", (sa, sb), haar_unitary(4, rng)))
-        # the center moved to site 1's spine node, the turning node; site 0's
-        # spine node (the root) is an isometry onto its edge down to it, and
-        # the spine nodes of sites 2..4 are isometries towards their parents
-        spines = [0] + comb_bond_edges(state.tree)[:-1]
+        # the center moved to site 2's spine node, the turning node; the top
+        # node, which holds sites 0 and 1, is an isometry onto its edge down
+        # to it, and the spine nodes of sites 3..4 are isometries towards
+        # their parents
+        tree = state._tree
+        spines = [tree.parent[tree.qubit_node[q]] for q in range(6)]  # site j's spine node
         assert state.center == spines[sa]
-        root = state.tensors[0]  # (site 0's leaf edge, bond 0, dummy parent axis)
-        mat = root.transpose(0, 2, 1).reshape(-1, root.shape[1])
-        assert np.linalg.norm(mat.conj().T @ mat - np.eye(root.shape[1])) < 1e-10
+        root = state.tensors[0]  # (site 0's leaf edge, site 1's, bond 1, dummy parent axis)
+        mat = root.reshape(-1, root.shape[2])
+        assert np.linalg.norm(mat.conj().T @ mat - np.eye(root.shape[2])) < 1e-10
         for spine in spines[sa + 1:sb]:
             t = state.tensors[spine]
             mat = t.reshape(-1, t.shape[-1])

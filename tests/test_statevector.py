@@ -131,3 +131,12 @@ class TestOverlapError:
 def test_fidelity_of_basis_states():
     assert fidelity(basis_vector([0, 0]), basis_vector([0, 0])) == 1.0
     assert fidelity(basis_vector([0, 0]), basis_vector([1, 0])) == 0.0
+
+
+def test_fidelity_of_a_state_off_unit_norm_by_rounding_is_at_most_one():
+    # an engine's state can drift from unit norm by a few ulps; its overlap
+    # with the oracle then exceeds 1 by as much, and fidelity clamps it
+    vec = basis_vector([0, 1]) * (1 + 4e-15)
+    assert abs(np.vdot(vec, vec)) ** 2 > 1.0
+    assert fidelity(vec, vec) == 1.0
+    assert overlap_error(vec, vec) == 0.0

@@ -38,7 +38,7 @@ def random_circuit(rng, n, n_gates, p_single=0.3):
 def deviation_towards_center(state, nid):
     """How far node `nid` is from an isometry onto its axis towards the
     state's center: its parent axis, or the child axis on the path down."""
-    tree, t = state.tree, state.tensors[nid]
+    tree, t = state._tree, state.tensors[nid]
     chain = tree.ancestors(state.center)
     axis = tree.child_index(chain[chain.index(nid) - 1]) if nid in chain else t.ndim - 1
     mat = np.moveaxis(t, axis, -1).reshape(-1, t.shape[axis])
@@ -48,12 +48,13 @@ def deviation_towards_center(state, nid):
 def record_moves(monkeypatch):
     """Record every `TtnState._move` from here on as (kind, direction,
     edge): "split" under a policy, else "gauge"; "down" or "up"; the edge
-    by its child. A split into a leaf is made in place at its parent, and
-    threading hands each path leaf up to its parent as ("gauge", "up")."""
+    by its child in the tree the engine walks. A split into a leaf is made
+    in place at its parent, and threading hands each path leaf up to its
+    parent as ("gauge", "up")."""
     moves = []
 
     def recorded(self, src, dst, policy=None, tie=None, _f=TtnState._move):
-        down = self.tree.parent[dst] == src
+        down = self._tree.parent[dst] == src
         moves.append(("split" if policy is not None else "gauge", "down" if down else "up",
                       dst if down else src))
         return _f(self, src, dst, policy, tie)
@@ -148,7 +149,7 @@ class TestTwoQubit:
         c = random_circuit(rng, 8, 25, p_single=0.0)
         topo = perfect_tree(2, 3)
         state = TtnState.basis_state(topo, [0] * 8)
-        tree = state.tree
+        tree = state._tree
         for g in c.gates:
             path = state.thread_two_qubit(g)
             assert state.center == tree.path_between(*g.qubits)[1]
@@ -225,8 +226,8 @@ class TestTwoQubit:
             raise FactorizationError(f"SVD of a {m.shape} matrix did not converge")
 
         state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8)
-        up_a, lca, _ = state.tree.path_between(*qubits)
-        assert state.tree.is_leaf(up_a[-1]) == into_leaf
+        up_a, lca, _ = state._tree.path_between(*qubits)
+        assert state._tree.is_leaf(up_a[-1]) == into_leaf
         monkeypatch.setattr(ttn, "svd_econ", fail)
         g = Gate("u2", qubits, haar_unitary(4, np.random.default_rng(67)))
         with pytest.raises(FactorizationError, match=rf"^node {lca}: SVD of a"):
@@ -262,16 +263,17 @@ class TestMixedCanonicalForm:
         state = run_circuit(random_circuit(rng, 8, 30, p_single=0.0), perfect_tree(2, 3))
         first = Gate("u2", (0, 3), haar_unitary(4, rng))
         second = Gate("u2", (1, 2), haar_unitary(4, rng))
-        lca = state.tree.path_between(0, 3)[1]
-        assert state.tree.path_between(1, 2)[1] == lca
+        tree = state._tree
+        lca = tree.path_between(0, 3)[1]
+        assert tree.path_between(1, 2)[1] == lca
         state.apply(first, policy)
-        assert state.center == state.tree.parent[state.tree.qubit_node[3]]
-        above = set(state.tree.ancestors(lca))  # edges at or above, by child
+        assert state.center == tree.parent[tree.qubit_node[3]]
+        above = set(tree.ancestors(lca))  # edges at or above, by child
         moves = record_moves(monkeypatch)
         state.apply(second, policy)
         assert moves and not [m for m in moves if m[2] in above]
         assert not [m for m in moves if m[:2] == ("gauge", "down")]
-        assert state.center == state.tree.parent[state.tree.qubit_node[2]]
+        assert state.center == tree.parent[tree.qubit_node[2]]
         assert state.canonical_deviation() < 1e-10
 
     @staticmethod
@@ -297,59 +299,42 @@ class TestMixedCanonicalForm:
                 moves.clear()
                 yield state, state.thread_two_qubit(g), moves
 
-    @staticmethod
-    def second_root_edge(tree):
-        """The root's second child edge when the root is binary and that
-        child is not a leaf, else None: both root edges then cut the same
-        bipartition, and a walk across the root descends it gauge-only."""
-        children = tree.children[0]
-        return children[1] if len(children) == 2 and not tree.is_leaf(children[1]) else None
-
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_sweep_splits_each_path_edge_once(self, shape, policy, monkeypatch):
         # the reveal walks the center to each touched leaf's parent and
         # splits the leaf's edge there: every edge on the gate's path is
-        # split exactly once, and no other edge, except a binary root's
-        # second child edge, not a leaf's, when the gate turns at that
-        # root: the walk across the root moves it gauge-only, once, as the
-        # first root edge's split already revealed that bipartition
-        turned = 0
+        # split exactly once, and no other edge, also when the gate turns
+        # at a root that a binary root was spliced into
+        spliced = 0
         for state, path, moves in self.threaded_gates(shape, monkeypatch):
-            second = self.second_root_edge(state.tree)
-            gauged = second if state.center == 0 else None
-            turned += state.center == 0 and len(state.tree.children[0]) == 2
-            start = len(moves)
+            spliced += state.center == 0 and state._tree is not state.tree
             state.orthonormalize(policy, nodes=path)
             split = sorted(edge for kind, _, edge in moves if kind == "split")
-            assert split == sorted(nid for nid in path if nid != gauged)
-            assert moves[start:].count(("gauge", "down", second)) == (gauged is not None)
-        assert turned
+            assert split == sorted(path)
+        assert spliced
 
     @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(sigma_rel=1e-2, d_max=2)])
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_whole_tree_sweep_splits_every_edge_once(self, shape, policy, monkeypatch):
         # the whole-tree sweep walks the center to the root by gauge moves,
         # then reveals every leaf from there: each edge is split exactly
-        # once, except a binary root's second child edge, not a leaf's,
-        # which is moved gauge-only once, and the center ends at the parent
-        # of the last leaf revealed, the last node in preorder
-        binary = 0
+        # once, and the center ends at the parent of the last leaf
+        # revealed, the last node in preorder
+        spliced = 0
         for state, _, moves in self.threaded_gates(shape, monkeypatch):
-            second = self.second_root_edge(state.tree)
-            start = len(moves)
+            tree = state._tree
             state.orthonormalize(policy)
             split = sorted(edge for kind, _, edge in moves if kind == "split")
-            assert split == [nid for nid in range(1, state.tree.num_nodes) if nid != second]
-            assert moves[start:].count(("gauge", "down", second)) == (second is not None)
-            assert state.center == state.tree.parent[state.tree.num_nodes - 1]
-            binary += len(state.tree.children[0]) == 2
-        assert binary
+            assert split == list(range(1, tree.num_nodes))
+            assert state.center == tree.parent[tree.num_nodes - 1]
+            spliced += tree is not state.tree
+        assert spliced
 
     def test_grid_pass_svd_count(self, monkeypatch):
-        # one criterion-8 grid pass: 640 SVDs; each of the 8 gates (of 48)
-        # that turn at the binary root saves one per policy (680 with a
-        # second root split)
+        # one criterion-8 grid pass: 640 SVDs, one per path edge; the
+        # binary root is spliced into a child, so each of the 8 gates (of
+        # 48) that cross it splits its one edge once per policy
         calls = []
 
         def counted(*args, _f=ttn.svd_econ, **kwargs):
@@ -364,9 +349,10 @@ class TestMixedCanonicalForm:
         assert len(calls) == 640
 
     def test_grid_pass_qr_count(self, monkeypatch):
-        # the same pass takes 240 QRs: the center walks towards a gate only
+        # the same pass takes 207 QRs: the center walks towards a gate only
         # up to its path, and a reveal does not walk back (290 with both
-        # walks going all the way to the turning node)
+        # walks going all the way to the turning node); a climb across the
+        # spliced root is one move
         calls = []
 
         def counted(*args, _f=ttn.qr_econ, **kwargs):
@@ -378,15 +364,13 @@ class TestMixedCanonicalForm:
         topo = find_tree_structure(c, 2)
         for sigma_rel in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
             run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
-        assert len(calls) == 240
+        assert len(calls) == 207
 
     def test_oracle_pass_counts(self, monkeypatch):
         # one pass of the acceptance suite's 50 random circuits on the TTN
-        # and the MPS, exact: 12895 SVDs (12855 when a leaf that is a
-        # binary root's second child was gauged in place at the root),
-        # 2207 QRs and 26521 contractions into a node (45258 when
-        # threading moved each leaf into its parent, the reveal moved it
-        # back and the next walk moved it up again)
+        # and the MPS, exact: 12855 SVDs, 1783 QRs and 24654 contractions
+        # into a node; a center crossing a spliced binary root makes one
+        # move, not one per root edge
         calls = Counter()
         for name in ("svd_econ", "qr_econ"):
             def counted(*args, _f=getattr(ttn, name), _name=name, **kwargs):
@@ -405,7 +389,7 @@ class TestMixedCanonicalForm:
             c = random_circuit(rng, n, int(rng.integers(30, 61)))
             run_circuit(c, find_tree_structure(c, default_cluster_count(n)))
             mps_run_circuit(c)
-        assert calls == {"svd_econ": 12895, "qr_econ": 2207, "_contract": 26521}
+        assert calls == {"svd_econ": 12855, "qr_econ": 1783, "_contract": 24654}
 
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_gate_at_the_last_revealed_leaf_threads_without_a_walk(self, shape, monkeypatch):
@@ -418,7 +402,7 @@ class TestMixedCanonicalForm:
         rng = np.random.default_rng(47)
         for state, path, moves in self.threaded_gates(shape, monkeypatch):
             state.orthonormalize(EXACT, nodes=path)
-            tree = state.tree
+            tree = state._tree
             last, first = sorted((n for n in path if tree.is_leaf(n)), reverse=True)
             assert state.center == tree.parent[last]
             others = [q for q in range(tree.num_qubits) if tree.qubit_node[q] != last]
@@ -519,29 +503,30 @@ class TestOrthonormalize:
         assert [state.edge_dim(1), state.edge_dim(2)] == [1, 1]
         assert np.allclose(state.to_statevector(), [1, 0, 0, 0], atol=1e-12)
 
-    def test_reveal_needs_its_leaves_below_the_center(self):
-        # the binary-root gauge step relies on every revealed leaf lying
-        # below the center; after a gate the center rests at the parent of
-        # a leaf, so a reveal of a leaf outside its subtree is refused
-        # before any move
+    def test_reveal_of_leaves_not_below_the_center(self):
+        # after a gate the center rests at the parent of a leaf; a reveal
+        # of leaves outside its subtree climbs gauge-only and splits on the
+        # way down, across the spliced root too: the state and its edge
+        # dims are unchanged, it is canonical, and the center ends at the
+        # parent of the last leaf
         rng = np.random.default_rng(61)
-        state = run_circuit(random_circuit(rng, 8, 20, p_single=0.0), perfect_tree(2, 3))
-        tree = state.tree
-        center, tensors = state.center, list(state.tensors)
-        assert not tree.is_leaf(center)
-        below, other = [], []
-        for nid in range(tree.num_nodes):
-            if tree.is_leaf(nid):
-                (below if center in tree.ancestors(nid) else other).append(nid)
-        for nodes in ([other[0]], [below[0], other[0]], [other[0], tree.parent[center]]):
-            with pytest.raises(ValueError, match="below the center"):
+        for topo in (perfect_tree(2, 3), comb_topology([3, 0, 5, 1, 4, 2])):
+            state = run_circuit(random_circuit(rng, topo.num_qubits, 20, p_single=0.0), topo)
+            tree = state._tree
+            assert tree is not topo and not tree.is_leaf(state.center)
+            below, other = [], []
+            for nid in range(tree.num_nodes):
+                if tree.is_leaf(nid):
+                    (below if state.center in tree.ancestors(nid) else other).append(nid)
+            dims = [state.edge_dim(e) for e in range(1, topo.num_nodes)]
+            for nodes in ([other[0]], [below[0], other[-1]],
+                          [other[-1], tree.parent[state.center]]):
+                before = state.to_statevector()
                 state.orthonormalize(EXACT, nodes=nodes)
-            assert state.center == center
-            assert all(a is b for a, b in zip(state.tensors, tensors, strict=True))
-        before = state.to_statevector()
-        state.orthonormalize(EXACT, nodes=below)  # the center's own leaves: no walk
-        assert state.center == center
-        assert np.allclose(state.to_statevector(), before, atol=1e-12)
+                assert state.center == tree.parent[max(n for n in nodes if tree.is_leaf(n))]
+                assert np.abs(state.to_statevector() - before).max() <= 1e-12
+                assert state.canonical_deviation() <= 1e-10
+                assert [state.edge_dim(e) for e in range(1, topo.num_nodes)] == dims
 
     def test_one_qubit_tree_has_nothing_to_reveal(self):
         state = TtnState.basis_state(TreeTopology(0), [0])
@@ -564,7 +549,7 @@ class TestOrthonormalize:
         assert abs(state.norm() - 1.0) < 1e-10
         state.orthonormalize(policy)  # the whole-tree sweep walks the comb too
         # the parent of the last leaf revealed
-        assert state.center == state.tree.parent[state.tree.qubit_node[n - 1]]
+        assert state.center == state._tree.parent[state._tree.qubit_node[n - 1]]
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
 
@@ -629,7 +614,9 @@ class TestMetrics:
         state = TtnState.basis_state(perfect_tree(2, 2), [0] * 4)
         m = state.metrics()
         assert m.d_max_observed == 2
-        assert m.m_entries == 4 * 2 + 3 * 1  # four 2x1 leaves, three 1x..x1 nodes
+        # four 2x1 leaves, the 1x1x1x1 root that the binary root's first
+        # child was spliced into, and its 1x1x1 second child
+        assert m.m_entries == 4 * 2 + 2 * 1
 
     def test_entries_never_increase_under_exact_sweeps(self):
         rng = np.random.default_rng(19)

@@ -5,7 +5,9 @@ one root-to-leaf reveal per leaf that needs it), against the dense state's
 Schmidt ranks and against the dense oracle. The reference threads with its
 identity connectors built, where the engine contracts them as it threads, and
 runs on a copy whose center the engine first moved to the root, where the
-earlier sweep kept it."""
+earlier sweep kept it. The references work on the tensors as the engine stores
+them, on its tree (`TtnState._tree`, where a binary root is spliced into a
+child); edge dims and Schmidt spectra are compared on the given topology."""
 
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -41,15 +43,15 @@ def _truncate(fac, policy, state):
 def _absorb_up(state, nid, iso, remainder):
     t = state.tensors[nid]
     state.tensors[nid] = iso.reshape(t.shape[:-1] + (iso.shape[1],))
-    parent = state.tree.parent[nid]
-    ci = state.tree.child_index(nid)
+    parent = state._tree.parent[nid]
+    ci = state._tree.child_index(nid)
     merged = np.tensordot(remainder, state.tensors[parent], axes=(1, ci))
     state.tensors[parent] = np.moveaxis(merged, 0, ci)
 
 
 def reference_reveal_branch(state, leaf, policy):
     """Root to `leaf` with an SVD and truncation per edge, back up with QR."""
-    tree = state.tree
+    tree = state._tree
     chain = tree.ancestors(leaf)
     down = chain[::-1]
     for parent, child in zip(down, down[1:]):
@@ -71,8 +73,12 @@ def reference_orthonormalize(state, policy, nodes=None):
     """The earlier sweep: exact upward SVDs, then every touched branch
     revealed from the root when truncating, else each masked one, tested
     after the branches before it were revealed."""
-    tree = state.tree
+    tree = state._tree
     leaves = []
+
+    def dim(nid):
+        return state.tensors[nid].shape[-1]
+
     for nid in tree.postorder:
         if tree.parent[nid] is None or (nodes is not None and nid not in nodes):
             continue
@@ -83,8 +89,7 @@ def reference_orthonormalize(state, policy, nodes=None):
         _absorb_up(state, nid, fac.u, fac.s[:, None] * fac.v_dag)
     truncating = policy.sigma_rel > 0 or policy.d_max is not None
     for leaf in leaves:
-        masked = any(state.edge_dim(nid) > tree.edge_bound(nid, state.edge_dim)
-                     for nid in tree.ancestors(leaf)[:-1])
+        masked = any(dim(nid) > tree.edge_bound(nid, dim) for nid in tree.ancestors(leaf)[:-1])
         if truncating or masked:
             reference_reveal_branch(state, leaf, policy)
     root = tree.postorder[-1]
@@ -96,10 +101,10 @@ def reference_thread(state, g):
     """The engine's threading with its connectors built: the center moves to
     the gate's turning node, the leaves absorb the split factors and every
     interior path node gets its identity connector, 1/sqrt(k) at the turning
-    node (the engine puts it on the first leaf's factor: the same state).
-    Returns the turning node."""
+    node (the engine puts it on the first leaf's factor: the same state)."""
+    tree = state._tree
     g_a, g_b, k = split_gate(g)
-    up_a, lca, up_b = state.tree.path_between(*g.qubits)
+    up_a, lca, up_b = tree.path_between(*g.qubits)
     state._move_center(lca)
     for leaf, factor in ((up_a[0], g_a), (up_b[0], g_b)):
         t = np.tensordot(factor, state.tensors[leaf], axes=(1, 0))  # (2, k, d)
@@ -107,21 +112,20 @@ def reference_thread(state, g):
     for chain in (up_a, up_b):
         for path_child, nid in zip(chain, chain[1:]):
             t = state.tensors[nid]
-            state.tensors[nid] = expand_pair(t, state.tree.child_index(path_child), t.ndim - 1, k)
-    ca, cb = sorted(state.tree.child_index(chain[-1]) for chain in (up_a, up_b))
+            state.tensors[nid] = expand_pair(t, tree.child_index(path_child), t.ndim - 1, k)
+    ca, cb = sorted(tree.child_index(chain[-1]) for chain in (up_a, up_b))
     state.tensors[lca] = expand_pair(state.tensors[lca], ca, cb, k, scale=1 / np.sqrt(k))
-    return lca
 
 
 def reference_gate(state, g, policy):
     """The earlier gate: from a root-centered state, thread, then sweep every
-    ancestor of either leaf from the root. Returns the gate's turning node."""
-    state._move_center(state.tree.postorder[-1])
-    lca = reference_thread(state, g)
-    qa, qb = (state.tree.qubit_node[q] for q in g.qubits)
-    branches = set(state.tree.ancestors(qa)) | set(state.tree.ancestors(qb))
+    ancestor of either leaf from the root."""
+    tree = state._tree
+    state._move_center(tree.postorder[-1])
+    reference_thread(state, g)
+    qa, qb = (tree.qubit_node[q] for q in g.qubits)
+    branches = set(tree.ancestors(qa)) | set(tree.ancestors(qb))
     reference_orthonormalize(state, policy, branches)
-    return lca
 
 
 def schmidt_values(vec, tree, edge):
@@ -238,7 +242,8 @@ def check_gate_sweeps(circuit, topo, policy):
         exact = apply_gate(state.to_statevector(), g, circuit.num_qubits)
         dims = [state.edge_dim(edge) for edge in range(topo.num_nodes)]
         state.apply(g, policy)
-        lca = reference_gate(ref, g, policy)
+        reference_gate(ref, g, policy)
+        lca = topo.path_between(*g.qubits)[1]
         untouched = {edge: dims[edge] for edge in topo.ancestors(lca)[:-1]}
         assert_same_sweep(state, ref, policy, untouched, exact)
     if policy == EXACT:
@@ -292,7 +297,7 @@ def threading_price(state, g):
     state whose center is already at the gate's turning node: each leaf on
     the path grows by k, every other path node by k squared."""
     k = split_gate(g)[2]
-    up_a, lca, up_b = state.tree.path_between(*g.qubits)
+    up_a, lca, up_b = state._tree.path_between(*g.qubits)
     grown = {up_a[0]: k, up_b[0]: k} | {nid: k * k for nid in up_a[1:] + up_b[1:] + [lca]}
     return sum(t.size * grown.get(nid, 1) for nid, t in enumerate(state.tensors))
 
@@ -370,7 +375,7 @@ class TestSweepProperties:
         circuit, topo = case
         state = PeakState.basis_state(topo, [0] * circuit.num_qubits)
         for g in circuit.gates:
-            state._move_center(state.tree.path_between(*g.qubits)[1])
+            state._move_center(state._tree.path_between(*g.qubits)[1])
             price = threading_price(state, g)
             over = state.copy()
             over.memory_cap = price - 1
@@ -430,57 +435,63 @@ class TestCenter:
         # the reveal splits each leaf edge in place at the leaf's parent and
         # does not walk back: the center rests at the parent of the higher
         # preorder id of the gate's two leaves, never on a leaf, with the
-        # state's norm; each path edge takes one SVD, except a binary root's
-        # second edge, not a leaf's, when the gate turns there
+        # state's norm; each path edge takes one SVD, where a binary root,
+        # spliced into a child, is one edge
         circuit, topo = case
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
+        tree = state._tree
         calls = []
 
         def counted(*args, _f=svd_econ, **kwargs):
             calls.append(1)
             return _f(*args, **kwargs)
 
-        children = topo.children[0]
-        gauged = len(children) == 2 and not topo.is_leaf(children[1])
         with patch.object(ttn, "svd_econ", counted):
             for g in circuit.gates:
-                up_a, lca, up_b = topo.path_between(*g.qubits)
+                up_a, _, up_b = tree.path_between(*g.qubits)
                 calls.clear()
                 state.apply(g, policy)
-                assert state.center == topo.parent[max(up_a[0], up_b[0])]
-                assert not topo.is_leaf(state.center)
+                assert state.center == tree.parent[max(up_a[0], up_b[0])]
+                assert not tree.is_leaf(state.center)
                 assert state.canonical_deviation() < 1e-10
                 assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) <= 1e-12
-                assert len(calls) == len(up_a) + len(up_b) - (gauged and lca == 0)
+                assert len(calls) == len(up_a) + len(up_b)
 
 
-def assert_root_edges_at_schmidt_rank(state):
-    """Both edges of a binary root at the state's Schmidt rank across them,
-    in canonical form."""
+def assert_root_edges_at_schmidt_rank(state, applied):
+    """Both edges of a binary root report the state's Schmidt rank across
+    them, and the state is canonical and the dense oracle's after the
+    circuit `applied`."""
     first, second = state.tree.children[0]
-    spectrum = schmidt_values(state.to_statevector(), state.tree, second)
+    vec = state.to_statevector()
+    spectrum = schmidt_values(vec, state.tree, second)
     rank = np.count_nonzero(spectrum > 1e-10 * spectrum[0])
     assert state.edge_dim(second) == state.edge_dim(first) == rank
     assert state.canonical_deviation() <= 1e-10
+    assert fidelity(sv_simulate(applied), vec) >= 1 - 1e-10
 
 
 class TestBinaryRoot:
     @settings(max_examples=150)
     @given(binary_root_trees_and_circuits())
-    def test_second_root_edge_keeps_the_schmidt_rank(self, case):
-        # the reveal moves a binary root's second edge gauge-only, after the
-        # first root edge's split; in exact mode it must still land on the
-        # Schmidt rank, after each gate and after a whole-tree sweep
+    def test_spliced_root_is_one_edge_at_the_schmidt_rank(self, case):
+        # a binary root over an internal child is stored spliced into it,
+        # one tensor fewer; its one edge, which both root children report,
+        # lands on the Schmidt rank in exact mode, after each gate and after
+        # a whole-tree sweep (a root over two leaves stays)
         circuit, topo = case
-        assert len(topo.children[0]) == 2
+        kids = topo.children[0]
+        assert len(kids) == 2
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
-        for g in circuit.gates[:-1]:
+        spliced = not all(map(topo.is_leaf, kids))
+        assert len(state.tensors) == topo.num_nodes - spliced
+        for i, g in enumerate(circuit.gates[:-1]):
             state.apply(g)
-            assert_root_edges_at_schmidt_rank(state)
+            assert_root_edges_at_schmidt_rank(state, Circuit(topo.num_qubits, circuit.gates[:i + 1]))
         state.thread_two_qubit(circuit.gates[-1])
         state.orthonormalize(EXACT)
-        assert_root_edges_at_schmidt_rank(state)
-        assert fidelity(sv_simulate(circuit), state.to_statevector()) >= 1 - 1e-10
+        assert_root_edges_at_schmidt_rank(state, circuit)
+        assert len(state.tensors) == topo.num_nodes - spliced
 
 
 def check_readout(circuit, topo):

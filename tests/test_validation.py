@@ -10,7 +10,7 @@ from ttnsim.gates import Gate
 from ttnsim.mps import MpsState
 from ttnsim.statevector import DenseState, basis_vector, sv_simulate
 from ttnsim.tensors import qr_econ, svd_econ
-from ttnsim.topology import perfect_tree
+from ttnsim.topology import TreeTopology, perfect_tree
 from ttnsim.treesearch import SimilarityMatrix, cluster, create_subtree, find_tree_structure
 from ttnsim.ttn import TtnState, node_count_bound
 
@@ -61,3 +61,19 @@ def test_gate_outside_the_engines_qubits_rejected(engine, qubit):
         with pytest.raises(ValueError, match="out of range|nonnegative"):
             state.apply(make())
     assert np.array_equal(state.to_statevector(), basis_vector([0, 0, 0]))
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: TtnState.basis_state(TreeTopology([[0, 1], 2]), [0, 0, 0]),
+    lambda: MpsState.basis_state(3, [0, 0, 0]),
+], ids=["ttn", "mps"])
+@pytest.mark.parametrize("entry", ["apply", "thread_two_qubit"])
+def test_two_qubit_gate_outside_the_tree_rejected_at_either_entry(engine, entry):
+    # threading checks the range itself, so a caller that threads and
+    # reveals in two steps gets the ValueError that apply raises, before
+    # the state is touched
+    state = engine()
+    tensors = list(state.tensors)
+    with pytest.raises(ValueError, match="out of range"):
+        getattr(state, entry)(gates.cnot(0, 7))
+    assert all(a is b for a, b in zip(state.tensors, tensors, strict=True))
