@@ -1,9 +1,16 @@
-"""Dense complex matrix kernels: economical SVD/QR and the truncation rule.
+"""Dense complex matrix kernels: economical SVD/QR, the two-column SVD and
+the truncation rules.
 
 All tensors are numpy ``complex128`` arrays in row-major (C) layout; the last
 axis is the fastest. Operations are pure functions and never mutate inputs.
+`svd_econ` is LAPACK's SVD; `svd_two_cols` gives the singular values and
+right vectors of a (p, 2) matrix, as a leaf edge's split needs, from its
+2x2 Gram matrix and one closed-form Jacobi rotation, with no LAPACK call.
+Both keep values by one numerical-zero rule (`numerical_rank`), so every
+rank decision is made here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,15 @@ class SvdFactors:
 ZERO_FLOOR = 1e-14
 
 
+def numerical_rank(s: np.ndarray, threshold: float = 0.0) -> int:
+    """How many leading values of the nonincreasing spectrum `s` to keep:
+    those of at least ``max(threshold, ZERO_FLOOR) * s[0]``, and at least
+    one, as an empty bond would disconnect the network."""
+    if s[0] <= 0:
+        return 1
+    return max(1, int(np.count_nonzero(s >= max(threshold, ZERO_FLOOR) * s[0])))
+
+
 def svd_econ(m: np.ndarray, threshold: float = 0.0) -> SvdFactors:
     """Economical SVD with relative-threshold truncation.
 
@@ -49,9 +65,50 @@ def svd_econ(m: np.ndarray, threshold: float = 0.0) -> SvdFactors:
         u, s, v_dag = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD of a {m.shape} matrix did not converge") from exc
-    k = int(np.count_nonzero(s >= max(threshold, ZERO_FLOOR) * s[0])) if s[0] > 0 else 0
-    k = max(k, 1)
+    k = numerical_rank(s, threshold)
     return SvdFactors(u[:, :k], s[:k], v_dag[:k, :])
+
+
+def svd_two_cols(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values `s` (both, nonincreasing) and right singular vectors
+    `v` (a 2x2 unitary, one per column) of a (p, 2) matrix, so that the
+    columns of ``m @ v`` are orthogonal with norms `s`.
+
+    `v` diagonalizes the Gram matrix ``G = m^H m`` by one two-sided Jacobi
+    rotation (Golub & Van Loan, Matrix Computations, 8.5), computed in
+    Python floats from G's three numbers. ``s[0]`` is the root of the larger
+    eigenvalue; ``s[1]`` is ``|m @ v[:, 1]|``, whose absolute error is about
+    eps * s[0], as LAPACK's is, where the root of the smaller eigenvalue
+    would carry eps * s[0]**2 and hide every value below about 1e-8 * s[0].
+    A Gram matrix that is not finite (a NaN or inf entry, or entries above
+    about 1e154, whose squares overflow) raises FactorizationError.
+    """
+    if m.ndim != 2 or m.shape[1] != 2:
+        raise ValueError(f"expected a (p, 2) matrix, got shape {m.shape}")
+    # G from the real view (p, 4) of m, one real product with no copy:
+    # conj(x) y = (xr yr + xi yi) + i (xr yi - xi yr)
+    x = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite G raises below
+        r = (x.T @ x).tolist()
+    g00, g11 = r[0][0] + r[1][1], r[2][2] + r[3][3]
+    g01 = complex(r[0][2] + r[1][3], r[0][3] - r[1][2])
+    if not all(map(math.isfinite, (g00, g11, g01.real, g01.imag))):
+        raise FactorizationError(f"SVD of a {m.shape} matrix: its Gram matrix is not finite")
+    b, t = abs(g01), 0.0
+    if b > 0:
+        tau = (g11 - g00) / (2 * b)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1 + tau * tau))
+    c = 1 / math.sqrt(1 + t * t)
+    sn, ph = t * c, (g01 / b).conjugate() if b > 0 else 1.0
+    # G's eigenvectors: (c, -sn ph) for g00 - t b, and (sn, c ph) for g11 + t b
+    lam0, lam1 = g00 - t * b, g11 + t * b
+    v = np.array([[c, sn], [-sn * ph, c * ph]], dtype=np.complex128)
+    if lam1 > lam0:
+        lam0, v = lam1, v[:, ::-1]
+    s0 = math.sqrt(max(lam0, 0.0))
+    w = m @ v[:, 1]
+    s1 = min(math.sqrt(np.vdot(w, w).real), s0)  # rounding may lift a double value above s0
+    return np.array([s0, s1]), v
 
 
 def qr_econ(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

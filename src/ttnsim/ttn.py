@@ -26,22 +26,27 @@ child), each slice written straight into its place.
 
 Then the reveal, the same for every truncation policy: the center walks to
 each touched leaf's parent in turn, in preorder, and stays at the last one.
-Each edge it descends, and each leaf's edge, is split by SVD against the
-state's true Schmidt spectrum, where exact mode keeps the Schmidt rank and a
-truncating policy cuts. A leaf's edge is split in place at its parent, so
-the center never rests on a leaf and no leaf's data crosses its edge more
-than once a gate. A gate inside a subtree changes no Schmidt spectrum at or
-above its turning node, and nothing there is touched: on a comb (the MPS) a
-nearest-neighbour gate costs the same at every site. The whole-tree sweep
-walks the center to the root first and reveals every leaf, so it ends at the
-parent of the last leaf in preorder.
+Each edge it descends is split by SVD, and each leaf's edge by one 2x2
+Jacobi rotation (`svd_two_cols`), against the state's true Schmidt
+spectrum, where exact mode keeps the Schmidt rank and a truncating policy
+cuts. A leaf's edge is split in place at its parent, so the center never
+rests on a leaf and no leaf's data crosses its edge more than once a gate.
+Such a split writes only where a value drops: a leaf edge of dimension 2
+that keeps both is left as it is, as the leaf, a 2x2 unitary, is already
+the edge's isometry and the split would only rotate its gauge. A gate
+inside a subtree changes no Schmidt spectrum at or above its turning node,
+and nothing there is touched: on a comb (the MPS) a nearest-neighbour gate
+costs the same at every site. The whole-tree sweep walks the center to the
+root first and reveals every leaf, so it ends at the parent of the last
+leaf in preorder.
 
 Every step of all this is one of two operations. `TtnState._move` factors a
-node across one edge (gauge-only, or by SVD in the reveal) and contracts the
-remainder into the neighbour; `TtnState._contract` contracts a matrix into
-one axis of a node: a move's remainder (through a bond's connector while
-threading), a one-qubit gate into its leaf's physical axis, and in the
-read-out each node into its parent's axis for it.
+node across one edge (gauge-only, or in the reveal by SVD, or into a leaf by
+the rotation) and contracts the remainder into the neighbour;
+`TtnState._contract` contracts a matrix into one axis of a node: a move's
+remainder (through a bond's connector while threading), a one-qubit gate
+into its leaf's physical axis, and in the read-out each node into its
+parent's axis for it.
 """
 
 import math
@@ -52,7 +57,8 @@ from .circuits import Circuit
 from .errors import FactorizationError, MemoryCapExceeded
 from .gates import Gate, split_gate
 from .statevector import DEFAULT_MEMORY_CAP, DEFAULT_QUBIT_CAP, StateMetrics
-from .tensors import EXACT, RANK_TOL, TruncationPolicy, qr_econ, svd_econ
+from .tensors import (EXACT, RANK_TOL, TruncationPolicy, numerical_rank, qr_econ, svd_econ,
+                      svd_two_cols)
 from .topology import TreeTopology
 
 
@@ -228,40 +234,50 @@ class TtnState:
         `policy` (the reveal, every other node isometric towards `src`) it
         is the SVD, the state's Schmidt spectrum across the edge, cut by
         `policy.rank`; a cut renormalizes the kept values. Into a leaf the
-        SVD splits the edge in place: `src` keeps `u s` and the leaf becomes
-        `leaf @ v_dag.T`, so the center stays at `src`. A failed
-        factorization is raised again as `node {src}: ...`."""
+        split is made in place and the center stays at `src`: the singular
+        values and right vectors `v` of the (p, 2) matrix come from
+        `svd_two_cols`, and nothing is written unless one value drops
+        (a leaf edge of dimension 1 has nothing to split); then `src` keeps
+        `u s = m v[:, 0]` with the leaf's axis one wide and the leaf
+        becomes `leaf @ conj(v[:, :1])`. A failed factorization is raised
+        again as `node {src}: ...`."""
         axis = self._axis(src, dst)
+        t = self.tensors[src]
+        into_leaf = policy is not None and self._tree.is_leaf(dst)
+        if into_leaf and t.shape[axis] == 1:
+            return
         mat = self._matricize(src, axis)
         try:
-            if policy is not None:
+            if into_leaf:
+                s, v = svd_two_cols(mat)
+                s = s[:numerical_rank(s, RANK_TOL)]
+            elif policy is not None:
                 fac = svd_econ(mat, threshold=RANK_TOL)
+                s = fac.s
             elif mat.shape[0] <= mat.shape[1]:
                 iso, remainder = np.eye(mat.shape[0], dtype=mat.dtype), mat
             else:
                 iso, remainder = qr_econ(mat)
         except FactorizationError as exc:
             raise FactorizationError(f"node {src}: {exc}") from exc
-        t = self.tensors[src]
         if policy is not None:
-            keep, capped = policy.rank(fac.s)
+            keep, capped = policy.rank(s)
             self.cap_events += capped
-            s = fac.s[:keep]
+            if into_leaf:
+                if keep == 2:
+                    return
+                # src keeps u s = m v[:, 0], renormalized where the policy
+                # cut; a one-wide axis goes into its place with no transpose
+                col = v[:, 0] / s[0] if keep < len(s) else v[:, 0]
+                self.tensors[src] = (mat @ col).reshape(t.shape[:axis] + (1,) + t.shape[axis + 1:])
+                self.tensors[dst] = self.tensors[dst] @ v[:, :1].conj()
+                return
+            s = s[:keep]
             if keep < len(fac.s):
                 nrm = np.linalg.norm(s)
                 if nrm == 0:
                     raise FactorizationError("state collapsed to zero norm")
                 s = s / nrm
-            if self._tree.is_leaf(dst):
-                # u's rows are src's other axes in order: its kept columns,
-                # scaled by s, go straight into `axis`
-                before = math.prod(t.shape[:axis])
-                out = np.empty(t.shape[:axis] + (keep,) + t.shape[axis + 1:], fac.u.dtype)
-                np.multiply(fac.u[:, :keep].reshape(before, -1, keep).transpose(0, 2, 1),
-                            s[:, None], out=out.reshape(before, keep, -1))
-                self.tensors[src] = out
-                self.tensors[dst] = self.tensors[dst] @ fac.v_dag[:keep].T
-                return
             iso, remainder = fac.u[:, :keep], s[:, None] * fac.v_dag[:keep]
         new = iso.shape[1]
         # `_matricize` undone: the new edge goes back to `axis`

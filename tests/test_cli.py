@@ -145,7 +145,7 @@ class TestSimulate:
         run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
         assert run(["simulate", "--circuit", circ, "--engine", engine, "--memory-cap", 50]) == 4
 
-    @pytest.mark.parametrize("kernel", ["qr_econ", "svd_econ"])
+    @pytest.mark.parametrize("kernel", ["qr_econ", "svd_econ", "svd_two_cols"])
     def test_numerical_failure_exit_3(self, tmp_path, kernel, monkeypatch, capsys):
         def fail(m, *args, **kwargs):
             raise FactorizationError(f"{kernel} of a {m.shape} matrix did not converge")

@@ -124,7 +124,7 @@ def test_svd_error_type_is_distinct():
 
 
 def test_only_tensors_calls_the_lapack_svd():
-    # every rank decision goes through svd_econ, so the package has one SVD
+    # every rank decision goes through tensors.py, so the package has one SVD
     src = Path(ttnsim.__file__).resolve().parents[1]
     callers = sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")
                      if "np.linalg.svd" in p.read_text(encoding="utf-8"))

@@ -207,7 +207,7 @@ class TestTwoQubit:
                 assert np.allclose(state.to_statevector(), exact, atol=1e-12, rtol=0)
                 assert state.canonical_deviation() < 1e-10
 
-    @pytest.mark.parametrize("kernel", ["qr_econ", "svd_econ"])
+    @pytest.mark.parametrize("kernel", ["qr_econ", "svd_econ", "svd_two_cols"])
     def test_factorization_failure_names_the_node(self, kernel, monkeypatch):
         def fail(m, *args, **kwargs):
             raise FactorizationError(f"{kernel} of a {m.shape} matrix did not converge")
@@ -219,16 +219,17 @@ class TestTwoQubit:
 
     @pytest.mark.parametrize("qubits, into_leaf", [((0, 1), True), ((0, 3), False)])
     def test_reveal_failure_names_the_node_it_splits(self, qubits, into_leaf, monkeypatch):
-        # the reveal's first SVD splits an edge below the turning node: a
-        # leaf's edge when the gate's leaves are its children, else the
-        # edge a descent crosses; either names the turning node
+        # the reveal's first split is of an edge below the turning node: a
+        # leaf's edge (svd_two_cols) when the gate's leaves are its
+        # children, else the edge a descent crosses (svd_econ); either
+        # names the turning node
         def fail(m, *args, **kwargs):
             raise FactorizationError(f"SVD of a {m.shape} matrix did not converge")
 
         state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8)
         up_a, lca, _ = state._tree.path_between(*qubits)
         assert state._tree.is_leaf(up_a[-1]) == into_leaf
-        monkeypatch.setattr(ttn, "svd_econ", fail)
+        monkeypatch.setattr(ttn, "svd_two_cols" if into_leaf else "svd_econ", fail)
         g = Gate("u2", qubits, haar_unitary(4, np.random.default_rng(67)))
         with pytest.raises(FactorizationError, match=rf"^node {lca}: SVD of a"):
             state.apply(g)
@@ -332,21 +333,22 @@ class TestMixedCanonicalForm:
         assert spliced
 
     def test_grid_pass_svd_count(self, monkeypatch):
-        # one criterion-8 grid pass: 640 SVDs, one per path edge; the
-        # binary root is spliced into a child, so each of the 8 gates (of
-        # 48) that cross it splits its one edge once per policy
-        calls = []
-
-        def counted(*args, _f=ttn.svd_econ, **kwargs):
-            calls.append(1)
-            return _f(*args, **kwargs)
-
-        monkeypatch.setattr(ttn, "svd_econ", counted)
+        # one criterion-8 grid pass: one split per path edge, 160 SVDs for
+        # the edges a descent crosses and 480 two-column kernel calls for
+        # the leaf edges (two per gate of 48, per policy); the binary root
+        # is spliced into a child, so each of the 8 gates that cross it
+        # splits its one edge once per policy
+        calls = Counter()
+        for name in ("svd_econ", "svd_two_cols"):
+            def counted(*args, _f=getattr(ttn, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(ttn, name, counted)
         c = gen_lattice(4, 8, 100)
         topo = find_tree_structure(c, 2)
         for sigma_rel in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
             run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
-        assert len(calls) == 640
+        assert calls == {"svd_econ": 160, "svd_two_cols": 480}
 
     def test_grid_pass_qr_count(self, monkeypatch):
         # the same pass takes 207 QRs: the center walks towards a gate only
@@ -368,11 +370,12 @@ class TestMixedCanonicalForm:
 
     def test_oracle_pass_counts(self, monkeypatch):
         # one pass of the acceptance suite's 50 random circuits on the TTN
-        # and the MPS, exact: 12855 SVDs, 1783 QRs and 24654 contractions
-        # into a node; a center crossing a spliced binary root makes one
-        # move, not one per root edge
+        # and the MPS, exact: 6275 SVDs, 6580 two-column kernel calls (one
+        # per leaf edge split), 1783 QRs and 24654 contractions into a node;
+        # a center crossing a spliced binary root makes one move, not one
+        # per root edge
         calls = Counter()
-        for name in ("svd_econ", "qr_econ"):
+        for name in ("svd_econ", "svd_two_cols", "qr_econ"):
             def counted(*args, _f=getattr(ttn, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
@@ -389,7 +392,8 @@ class TestMixedCanonicalForm:
             c = random_circuit(rng, n, int(rng.integers(30, 61)))
             run_circuit(c, find_tree_structure(c, default_cluster_count(n)))
             mps_run_circuit(c)
-        assert calls == {"svd_econ": 12855, "qr_econ": 1783, "_contract": 24654}
+        assert calls == {"svd_econ": 6275, "svd_two_cols": 6580, "qr_econ": 1783,
+                         "_contract": 24654}
 
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_gate_at_the_last_revealed_leaf_threads_without_a_walk(self, shape, monkeypatch):
@@ -552,6 +556,67 @@ class TestOrthonormalize:
         assert state.center == state._tree.parent[state._tree.qubit_node[n - 1]]
         assert state.canonical_deviation() <= 1e-10
         assert abs(state.norm() - 1.0) < 1e-10
+
+
+class TestLeafSplit:
+    """A leaf's edge is split in place at its parent by `svd_two_cols`."""
+
+    @staticmethod
+    def xx_gate(theta):
+        """exp(-i theta X X) on qubits 0 and 1: on |00> its Schmidt values
+        are cos and sin theta."""
+        xx = np.kron(gates.x(0).matrix, gates.x(0).matrix)
+        return Gate("xx", (0, 1), np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * xx)
+
+    def test_split_that_drops_nothing_writes_nothing(self):
+        # both leaf edges at the turning node keep rank 2: the reveal would
+        # only rotate the gauge of isometries already in place
+        rng = np.random.default_rng(73)
+        c = random_circuit(rng, 8, 20, p_single=0.0)
+        state = run_circuit(c, perfect_tree(2, 3))
+        g = Gate("u2", (0, 1), haar_unitary(4, rng))
+        path = state.thread_two_qubit(g)
+        before = list(state.tensors)
+        state.orthonormalize(EXACT, nodes=path)
+        assert all(a is b for a, b in zip(state.tensors, before))
+        exact = sv_simulate(Circuit(8, c.gates + [g]))
+        assert np.allclose(state.to_statevector(), exact, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("policy, theta", [
+        (TruncationPolicy(d_max=1), 0.4), (TruncationPolicy(sigma_rel=1e-2), 1e-3),
+    ], ids=["d_max", "sigma_rel"])
+    def test_cut_writes_a_one_wide_leaf_edge(self, policy, theta):
+        # the kept value's vector goes to the parent and the leaf, the
+        # state renormalized: |00> is all that is left of cos|00> - i sin|11>
+        for topo in (two_leaf(), perfect_tree(2, 2)):
+            state = TtnState.basis_state(topo, [0] * topo.num_qubits)
+            state.apply(self.xx_gate(theta), policy)
+            assert state.cap_events == (policy.d_max is not None)
+            assert state.edge_dim(topo.qubit_node[0]) == state.edge_dim(topo.qubit_node[1]) == 1
+            assert abs(state.norm() - 1.0) <= 1e-12
+            assert state.canonical_deviation() <= 1e-10
+            assert abs(state.to_statevector()[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_reveal_at_the_grid_root_allocates_little(self):
+        # the criterion-8 grid's spliced root, (64, 2, 2, 256, 1), holds two
+        # leaves: revealing them takes the root's matricized copy and one
+        # vector of half its size, 1.5 root sizes (4.25 with an SVD that
+        # wrote u s into a new root)
+        c = gen_lattice(4, 8, 100)
+        state = run_circuit(c, find_tree_structure(c, 2))
+        tree = state._tree
+        leaves = [tree.leaf_qubit[n] for n in tree.children[0] if tree.is_leaf(n)]
+        g = Gate("u2", tuple(leaves), haar_unitary(4, np.random.default_rng(79)))
+        path = state.thread_two_qubit(g)
+        root = state.tensors[0]
+        assert root.shape == (64, 2, 2, 256, 1)
+        tracemalloc.start()
+        try:
+            state.orthonormalize(EXACT, nodes=path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * root.nbytes
 
 
 def tied_reference(t, axis, remainder, tied, k):

@@ -9,6 +9,7 @@ earlier sweep kept it. The references work on the tensors as the engine stores
 them, on its tree (`TtnState._tree`, where a binary root is spliced into a
 child); edge dims and Schmidt spectra are compared on the given topology."""
 
+from collections import Counter
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -435,27 +436,34 @@ class TestCenter:
         # the reveal splits each leaf edge in place at the leaf's parent and
         # does not walk back: the center rests at the parent of the higher
         # preorder id of the gate's two leaves, never on a leaf, with the
-        # state's norm; each path edge takes one SVD, where a binary root,
-        # spliced into a child, is one edge
+        # state's norm; each internal path edge takes one SVD, where a
+        # binary root, spliced into a child, is one edge, and each path
+        # leaf whose edge threading left two wide one two-column kernel call
         circuit, topo = case
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
         tree = state._tree
-        calls = []
+        calls = Counter()
 
-        def counted(*args, _f=svd_econ, **kwargs):
-            calls.append(1)
-            return _f(*args, **kwargs)
+        def counter(name):
+            def counted(*args, _f=getattr(ttn, name), **kwargs):
+                calls[name] += 1
+                return _f(*args, **kwargs)
+            return counted
 
-        with patch.object(ttn, "svd_econ", counted):
+        with (patch.object(ttn, "svd_econ", counter("svd_econ")),
+              patch.object(ttn, "svd_two_cols", counter("svd_two_cols"))):
             for g in circuit.gates:
                 up_a, _, up_b = tree.path_between(*g.qubits)
                 calls.clear()
-                state.apply(g, policy)
+                path = state.thread_two_qubit(g)
+                wide = sum(state.tensors[leaf].shape[1] == 2 for leaf in (up_a[0], up_b[0]))
+                state.orthonormalize(policy, nodes=path)
                 assert state.center == tree.parent[max(up_a[0], up_b[0])]
                 assert not tree.is_leaf(state.center)
                 assert state.canonical_deviation() < 1e-10
                 assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) <= 1e-12
-                assert len(calls) == len(up_a) + len(up_b)
+                assert calls["svd_econ"] == len(up_a) + len(up_b) - 2
+                assert calls["svd_two_cols"] == wide
 
 
 def assert_root_edges_at_schmidt_rank(state, applied):
