@@ -3,11 +3,13 @@ the truncation rules.
 
 All tensors are numpy ``complex128`` arrays in row-major (C) layout; the last
 axis is the fastest. Operations are pure functions and never mutate inputs.
-`svd_econ` is LAPACK's SVD; `svd_two_cols` gives the singular values and
-right vectors of a (p, 2) matrix, as a leaf edge's split needs, from its
-2x2 Gram matrix and one closed-form Jacobi rotation, with no LAPACK call.
-Both keep values by one numerical-zero rule (`numerical_rank`), so every
-rank decision is made here.
+`svd_econ` is LAPACK's SVD, with the singular vectors or, where a split
+needs only the spectrum to decide what to keep, without them;
+`svd_two_cols` gives the singular values and right vectors of a (p, 2)
+matrix, as a leaf edge's split needs, from its 2x2 Gram matrix and one
+closed-form Jacobi rotation, with no LAPACK call. Both keep values by one
+numerical-zero rule (`numerical_rank`), so every rank decision is made
+here.
 """
 
 import math
@@ -50,18 +52,27 @@ def numerical_rank(s: np.ndarray, threshold: float = 0.0) -> int:
     return max(1, int(np.count_nonzero(s >= max(threshold, ZERO_FLOOR) * s[0])))
 
 
-def svd_econ(m: np.ndarray, threshold: float = 0.0) -> SvdFactors:
+def svd_econ(m: np.ndarray, threshold: float = 0.0,
+             vectors: bool = True) -> SvdFactors | np.ndarray:
     """Economical SVD with relative-threshold truncation.
 
     Singular values below ``threshold * s[0]`` are discarded (numerically
     zero ones always are). At least one singular value is always retained:
-    an empty bond would disconnect the network.
+    an empty bond would disconnect the network. With ``vectors=False`` only
+    the singular values are computed, and the kept ones are returned as an
+    array; LAPACK leaves a non-finite input's values NaN there without
+    complaint, so such values raise FactorizationError.
     """
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     try:
+        if not vectors:
+            s = np.linalg.svd(m, compute_uv=False)
+            if not np.isfinite(s).all():
+                raise FactorizationError(f"SVD of a {m.shape} matrix: its values are not finite")
+            return s[:numerical_rank(s, threshold)]
         u, s, v_dag = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD of a {m.shape} matrix did not converge") from exc

@@ -26,14 +26,18 @@ child), each slice written straight into its place.
 
 Then the reveal, the same for every truncation policy: the center walks to
 each touched leaf's parent in turn, in preorder, and stays at the last one.
-Each edge it descends is split by SVD, and each leaf's edge by one 2x2
-Jacobi rotation (`svd_two_cols`), against the state's true Schmidt
+Each edge it descends is split against the state's true Schmidt
 spectrum, where exact mode keeps the Schmidt rank and a truncating policy
-cuts. A leaf's edge is split in place at its parent, so the center never
-rests on a leaf and no leaf's data crosses its edge more than once a gate.
-Such a split writes only where a value drops: a leaf edge of dimension 2
-that keeps both is left as it is, as the leaf, a 2x2 unitary, is already
-the edge's isometry and the split would only rotate its gauge. A gate
+cuts: the source is factored as a gauge-only move factors it (an identity
+or a reduced QR's isometry, and a remainder), and the remainder's singular
+values, alone, are the spectrum across the edge. A leaf's edge is split by
+one 2x2 Jacobi rotation (`svd_two_cols`), in place at its parent, so the
+center never rests on a leaf and no leaf's data crosses its edge more than
+once a gate. Every split writes only where a value drops: otherwise the
+gauge move already leaves an isometry on the edge (a leaf edge of
+dimension 2 is left as it is, as the leaf, a 2x2 unitary, is one), and a
+split would only rotate its gauge; where one drops, the remainder's
+singular vectors rotate the kept Schmidt vectors into the edge. A gate
 inside a subtree changes no Schmidt spectrum at or above its turning node,
 and nothing there is touched: on a comb (the MPS) a nearest-neighbour gate
 costs the same at every site. The whole-tree sweep walks the center to the
@@ -41,12 +45,12 @@ root first and reveals every leaf, so it ends at the parent of the last
 leaf in preorder.
 
 Every step of all this is one of two operations. `TtnState._move` factors a
-node across one edge (gauge-only, or in the reveal by SVD, or into a leaf by
-the rotation) and contracts the remainder into the neighbour;
-`TtnState._contract` contracts a matrix into one axis of a node: a move's
-remainder (through a bond's connector while threading), a one-qubit gate
-into its leaf's physical axis, and in the read-out each node into its
-parent's axis for it.
+node across one edge (gauge-only, or in the reveal by its gauge factors,
+rotated where a value drops, or into a leaf by the rotation) and contracts
+the remainder into the neighbour; `TtnState._contract` contracts a matrix
+into one axis of a node: a move's remainder (through a bond's connector
+while threading), a one-qubit gate into its leaf's physical axis, and in
+the read-out each node into its parent's axis for it.
 """
 
 import math
@@ -231,9 +235,13 @@ class TtnState:
         Without a policy the move is gauge-only: with no more rows than
         columns `iso` is the identity and the whole matrix the remainder,
         otherwise a reduced QR keeps the edge at the column count. Under
-        `policy` (the reveal, every other node isometric towards `src`) it
-        is the SVD, the state's Schmidt spectrum across the edge, cut by
-        `policy.rank`; a cut renormalizes the kept values. Into a leaf the
+        `policy` (the reveal, every other node isometric towards `src`) the
+        same factors are taken, and the remainder's singular values, the
+        state's Schmidt spectrum across the edge, are cut by `policy.rank`.
+        Where that keeps all r = min(rows, columns) of them the gauge move
+        is the split; where a value drops, one SVD of the remainder,
+        ``u s v_dag``, makes `iso @ u` the isometry and ``s v_dag`` the
+        remainder, cut, and renormalized where the policy cut. Into a leaf the
         split is made in place and the center stays at `src`: the singular
         values and right vectors `v` of the (p, 2) matrix come from
         `svd_two_cols`, and nothing is written unless one value drops
@@ -251,17 +259,19 @@ class TtnState:
             if into_leaf:
                 s, v = svd_two_cols(mat)
                 s = s[:numerical_rank(s, RANK_TOL)]
-            elif policy is not None:
-                fac = svd_econ(mat, threshold=RANK_TOL)
-                s = fac.s
-            elif mat.shape[0] <= mat.shape[1]:
-                iso, remainder = np.eye(mat.shape[0], dtype=mat.dtype), mat
             else:
-                iso, remainder = qr_econ(mat)
+                # the gauge factors; None stands for an identity `iso`
+                iso, remainder = (None, mat) if mat.shape[0] <= mat.shape[1] else qr_econ(mat)
+                if policy is not None:
+                    s = svd_econ(remainder, threshold=RANK_TOL, vectors=False)
+            if policy is not None:
+                keep, capped = policy.rank(s)
+                drops = not into_leaf and keep < len(remainder)
+                if drops:
+                    fac = svd_econ(remainder)
         except FactorizationError as exc:
             raise FactorizationError(f"node {src}: {exc}") from exc
         if policy is not None:
-            keep, capped = policy.rank(s)
             self.cap_events += capped
             if into_leaf:
                 if keep == 2:
@@ -272,13 +282,20 @@ class TtnState:
                 self.tensors[src] = (mat @ col).reshape(t.shape[:axis] + (1,) + t.shape[axis + 1:])
                 self.tensors[dst] = self.tensors[dst] @ v[:, :1].conj()
                 return
-            s = s[:keep]
-            if keep < len(fac.s):
-                nrm = np.linalg.norm(s)
-                if nrm == 0:
-                    raise FactorizationError("state collapsed to zero norm")
-                s = s / nrm
-            iso, remainder = fac.u[:, :keep], s[:, None] * fac.v_dag[:keep]
+            if drops:
+                # the remainder's left vectors rotate the kept Schmidt
+                # vectors into the edge
+                kept = fac.s[:keep]
+                if keep < len(s):
+                    nrm = np.linalg.norm(kept)
+                    if nrm == 0:
+                        raise FactorizationError("state collapsed to zero norm")
+                    kept = kept / nrm
+                u = fac.u[:, :keep]
+                iso = u if iso is None else iso @ u
+                remainder = kept[:, None] * fac.v_dag[:keep]
+        if iso is None:
+            iso = np.eye(mat.shape[0], dtype=mat.dtype)
         new = iso.shape[1]
         # `_matricize` undone: the new edge goes back to `axis`
         stacked = iso.reshape(math.prod(t.shape[:axis]), -1, new).transpose(0, 2, 1)
@@ -336,7 +353,7 @@ class TtnState:
         """Carry the orthogonality center to `target` along the tree path
         (`TreeTopology.path`), one `_move` per edge: gauge-only while it
         climbs to the lowest common ancestor of the two, then gauge-only or,
-        under `policy`, by SVD while it descends."""
+        under `policy`, split while it descends."""
         up, _, down = self._tree.path(self.center, target)
         parent = self._tree.parent
         for node in up:
@@ -352,7 +369,9 @@ class TtnState:
         to the root and every leaf is revealed.
 
         Each edge the center descends, and each leaf's edge, is split once
-        by SVD at the center, against the state's Schmidt spectrum: in exact
+        at the center, by its gauge factors and the remainder's singular
+        values, with a rotation only where a value drops, against the
+        state's Schmidt spectrum: in exact
         mode to its Schmidt rank, and where a truncating policy cuts, it
         renormalizes the state; exact mode does not rescale. The climbs are
         gauge-only, so the leaves may lie anywhere. No edge ends above its

@@ -156,6 +156,19 @@ class TestSimulate:
         assert run(["simulate", "--circuit", circ, "--engine", "ttn"]) == 3
         assert "numerical failure: node " in capsys.readouterr().err
 
+    def test_failed_vector_svd_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a cut descent's second SVD, the one with vectors, fails alone
+        def fail_vectors(m, *args, vectors=True, _f=ttn.svd_econ, **kwargs):
+            if vectors:
+                raise FactorizationError(f"SVD of a {m.shape} matrix did not converge")
+            return _f(m, *args, vectors=vectors, **kwargs)
+
+        circ = tmp_path / "c.json"
+        run(["gen", "lattice", "--n", 3, "--depth", 6, "--seed", 1, "--out", circ])
+        monkeypatch.setattr(ttn, "svd_econ", fail_vectors)
+        assert run(["simulate", "--circuit", circ, "--engine", "ttn", "--dmax", 1]) == 3
+        assert "numerical failure: node " in capsys.readouterr().err
+
     def test_lapack_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         # the engine's own conversion of a LinAlgError, not a patched wrapper
         def fail(*args, **kwargs):

@@ -63,6 +63,18 @@ def record_moves(monkeypatch):
     return moves
 
 
+def count_kernels(monkeypatch, *names):
+    """Count the calls of the `ttn` module's kernels `names` from here on,
+    by name; a values-only `svd_econ` call counts as "svd_values"."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _f=getattr(ttn, name), _name=name, **kwargs):
+            calls["svd_values" if kwargs.get("vectors") is False else _name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(ttn, name, counted)
+    return calls
+
+
 class TestBasisState:
     def test_state_runs_on_the_given_topology(self):
         topo = perfect_tree(2, 2)
@@ -333,53 +345,41 @@ class TestMixedCanonicalForm:
         assert spliced
 
     def test_grid_pass_svd_count(self, monkeypatch):
-        # one criterion-8 grid pass: one split per path edge, 160 SVDs for
-        # the edges a descent crosses and 480 two-column kernel calls for
-        # the leaf edges (two per gate of 48, per policy); the binary root
-        # is spliced into a child, so each of the 8 gates that cross it
+        # one criterion-8 grid pass: one split per path edge, 160 values-only
+        # SVDs for the edges a descent crosses, 26 of which drop a value and
+        # so take one SVD with vectors too, and 480 two-column kernel calls
+        # for the leaf edges (two per gate of 48, per policy); the binary
+        # root is spliced into a child, so each of the 8 gates that cross it
         # splits its one edge once per policy
-        calls = Counter()
-        for name in ("svd_econ", "svd_two_cols"):
-            def counted(*args, _f=getattr(ttn, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(ttn, name, counted)
+        calls = count_kernels(monkeypatch, "svd_econ", "svd_two_cols")
         c = gen_lattice(4, 8, 100)
         topo = find_tree_structure(c, 2)
         for sigma_rel in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
             run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
-        assert calls == {"svd_econ": 160, "svd_two_cols": 480}
+        assert calls == {"svd_values": 160, "svd_econ": 26, "svd_two_cols": 480}
 
     def test_grid_pass_qr_count(self, monkeypatch):
-        # the same pass takes 207 QRs: the center walks towards a gate only
-        # up to its path, and a reveal does not walk back (290 with both
-        # walks going all the way to the turning node); a climb across the
-        # spliced root is one move
-        calls = []
-
-        def counted(*args, _f=ttn.qr_econ, **kwargs):
-            calls.append(1)
-            return _f(*args, **kwargs)
-
-        monkeypatch.setattr(ttn, "qr_econ", counted)
+        # the same pass takes 290 QRs: 207 gauge moves, as the center walks
+        # towards a gate only up to its path and a reveal does not walk
+        # back (a climb across the spliced root is one move), and 83
+        # descents from a source with more rows than columns, whose gauge
+        # factors are the split's unless a value drops
+        calls = count_kernels(monkeypatch, "qr_econ")
         c = gen_lattice(4, 8, 100)
         topo = find_tree_structure(c, 2)
         for sigma_rel in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
             run_circuit(c, topo, TruncationPolicy(sigma_rel=sigma_rel))
-        assert len(calls) == 207
+        assert calls == {"qr_econ": 290}
 
     def test_oracle_pass_counts(self, monkeypatch):
         # one pass of the acceptance suite's 50 random circuits on the TTN
-        # and the MPS, exact: 6275 SVDs, 6580 two-column kernel calls (one
-        # per leaf edge split), 1783 QRs and 24654 contractions into a node;
+        # and the MPS, exact: 6275 values-only SVDs, one per descent, 179
+        # SVDs with vectors where a descent drops a value, 6580 two-column
+        # kernel calls (one per leaf edge split), 4841 QRs (gauge moves and
+        # descents from tall sources) and 24654 contractions into a node;
         # a center crossing a spliced binary root makes one move, not one
         # per root edge
-        calls = Counter()
-        for name in ("svd_econ", "svd_two_cols", "qr_econ"):
-            def counted(*args, _f=getattr(ttn, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(ttn, name, counted)
+        calls = count_kernels(monkeypatch, "svd_econ", "svd_two_cols", "qr_econ")
 
         def contract(self, *args, _f=TtnState._contract, **kwargs):
             calls["_contract"] += 1
@@ -392,8 +392,8 @@ class TestMixedCanonicalForm:
             c = random_circuit(rng, n, int(rng.integers(30, 61)))
             run_circuit(c, find_tree_structure(c, default_cluster_count(n)))
             mps_run_circuit(c)
-        assert calls == {"svd_econ": 6275, "svd_two_cols": 6580, "qr_econ": 1783,
-                         "_contract": 24654}
+        assert calls == {"svd_values": 6275, "svd_econ": 179, "svd_two_cols": 6580,
+                         "qr_econ": 4841, "_contract": 24654}
 
     @pytest.mark.parametrize("shape", ["perfect", "comb", "planner"])
     def test_gate_at_the_last_revealed_leaf_threads_without_a_walk(self, shape, monkeypatch):
@@ -617,6 +617,79 @@ class TestLeafSplit:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * root.nbytes
+
+
+class TestDescentSplit:
+    """A descent into an internal node splits its edge from the gauge
+    factors: one values-only SVD of the remainder, and one SVD with vectors
+    only where a value drops."""
+
+    @staticmethod
+    def descents():
+        """(state, src, dst) for every internal edge of a perfect binary
+        tree of height 3 after a random circuit, exact, with the center
+        moved to the edge's upper node `src`: the spliced root's descent has
+        no more rows than columns, the others more."""
+        c = random_circuit(np.random.default_rng(83), 8, 40, p_single=0.0)
+        start = run_circuit(c, perfect_tree(2, 3))
+        tree = start._tree
+        for dst in range(1, tree.num_nodes):
+            if not tree.is_leaf(dst):
+                state = start.copy()
+                state._move_center(tree.parent[dst])
+                yield state, tree.parent[dst], dst
+
+    def test_descent_without_a_drop_is_the_gauge_move(self, monkeypatch):
+        # exact mode on a state at its Schmidt ranks drops nothing: one
+        # values-only SVD, and the tensors are the gauge-only move's, bit for
+        # bit, with an exact identity at a source of no more rows than columns
+        calls = count_kernels(monkeypatch, "svd_econ")
+        wide = []
+        for state, src, dst in self.descents():
+            gauge = state.copy()
+            gauge._move(src, dst)
+            calls.clear()
+            state._move(src, dst, EXACT)
+            assert calls == {"svd_values": 1}
+            assert all(np.array_equal(a, b) for a, b in zip(state.tensors, gauge.tensors))
+            iso = state._matricize(src, state._axis(src, dst))
+            wide.append(iso.shape[0] <= iso.shape[1])
+            if wide[-1]:
+                assert np.array_equal(iso, np.eye(iso.shape[0]))
+            state.center = dst
+            assert state.canonical_deviation() <= 1e-10
+        assert sorted(set(wide)) == [False, True]
+
+    def test_drop_adds_one_svd_with_vectors(self, monkeypatch):
+        # a cap of 1 cuts every edge wider than 1: the remainder's vectors
+        # rotate the kept Schmidt vector into the edge, the state renormalized
+        calls = count_kernels(monkeypatch, "svd_econ")
+        for state, src, dst in self.descents():
+            assert state.tensors[dst].shape[-1] > 1
+            calls.clear()
+            state._move(src, dst, TruncationPolicy(d_max=1))
+            assert calls == {"svd_values": 1, "svd_econ": 1}
+            assert state.cap_events == 1
+            assert state.tensors[src].shape[state._axis(src, dst)] == 1
+            state.center = dst
+            assert abs(state.norm() - 1.0) <= 1e-12
+            assert state.canonical_deviation() <= 1e-10
+
+    def test_failed_vector_call_names_the_node(self, monkeypatch):
+        # under a cap the reveal's first descent, from the turning node,
+        # drops a value; only its SVD with vectors fails
+        def fail_vectors(m, *args, vectors=True, _f=ttn.svd_econ, **kwargs):
+            if vectors:
+                raise FactorizationError(f"SVD of a {m.shape} matrix did not converge")
+            return _f(m, *args, vectors=vectors, **kwargs)
+
+        state = TtnState.basis_state(perfect_tree(2, 3), [0] * 8)
+        up_a, lca, _ = state._tree.path_between(0, 3)
+        assert not state._tree.is_leaf(up_a[-1])
+        monkeypatch.setattr(ttn, "svd_econ", fail_vectors)
+        g = Gate("u2", (0, 3), haar_unitary(4, np.random.default_rng(89)))
+        with pytest.raises(FactorizationError, match=rf"^node {lca}: SVD of a"):
+            state.apply(g, TruncationPolicy(d_max=1))
 
 
 def tied_reference(t, axis, remainder, tied, k):

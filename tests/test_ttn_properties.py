@@ -303,6 +303,43 @@ def threading_price(state, g):
     return sum(t.size * grown.get(nid, 1) for nid, t in enumerate(state.tensors))
 
 
+class SvdSplitState(TtnState):
+    """The engine with each descent into an internal node split as one SVD
+    of the matricized source, cut by the policy and renormalized where the
+    cut drops a value above the numerical rank, in place of the gauge
+    factors and the remainder's values."""
+
+    def _move(self, src, dst, policy=None, tie=None):
+        if policy is None or self._tree.is_leaf(dst):
+            return super()._move(src, dst, policy, tie)
+        axis, t = self._axis(src, dst), self.tensors[src]
+        fac = svd_econ(self._matricize(src, axis), threshold=RANK_TOL)
+        keep, capped = policy.rank(fac.s)
+        self.cap_events += capped
+        s = fac.s[:keep]
+        if keep < fac.k:
+            s = s / np.linalg.norm(s)
+        iso = np.moveaxis(fac.u[:, :keep].reshape(t.shape[:axis] + t.shape[axis + 1:] + (keep,)),
+                          -1, axis)
+        self.tensors[src] = iso
+        self._contract(dst, self._axis(dst, src), s[:, None] * fac.v_dag[:keep])
+
+
+@st.composite
+def haar_trees_and_circuits(draw):
+    """`trees_and_circuits` with every gate a Haar one on the same qubits:
+    their Schmidt spectra have no blocks of equal values for a cut to fall
+    inside."""
+    circuit, topo = draw(trees_and_circuits())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Circuit(circuit.num_qubits, [_two_qubit_gate("haar", *g.qubits, rng)
+                                        for g in circuit.gates]), topo
+
+
+SPLIT_POLICIES = st.builds(TruncationPolicy, st.sampled_from([0.0, 1e-8, 1e-6, 1e-4, 1e-2]),
+                           st.one_of(st.none(), st.integers(1, 8)))
+
+
 class TestTruncationRule:
     @settings(max_examples=300)
     @given(spectra_and_policies())
@@ -335,6 +372,23 @@ class TestSweepProperties:
         rng = np.random.default_rng(seed)
         circuit = Circuit(n, [_two_qubit_gate(kind, qa, qb, rng) for (qa, qb), kind in spec])
         check_gate_sweeps(circuit, find_tree_structure(circuit, 1), policy)
+
+    @settings(max_examples=150)
+    @given(haar_trees_and_circuits(), SPLIT_POLICIES)
+    def test_descents_split_as_one_svd_of_the_source(self, case, policy):
+        # the gauge factors and the remainder's values, with a rotation only
+        # where a value drops, split each edge as one SVD of the source does
+        circuit, topo = case
+        state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
+        ref = SvdSplitState.basis_state(topo, [0] * circuit.num_qubits)
+        for g in circuit.gates:
+            state.apply(g, policy)
+            ref.apply(g, policy)
+            assert [state.edge_dim(e) for e in range(1, topo.num_nodes)] == \
+                [ref.edge_dim(e) for e in range(1, topo.num_nodes)]
+            assert state.cap_events == ref.cap_events
+            assert state.canonical_deviation() <= 1e-10
+            assert 1 - fidelity(ref.to_statevector(), state.to_statevector()) <= 1e-12
 
     @settings(max_examples=200)
     @given(trees_and_circuits())
@@ -436,9 +490,11 @@ class TestCenter:
         # the reveal splits each leaf edge in place at the leaf's parent and
         # does not walk back: the center rests at the parent of the higher
         # preorder id of the gate's two leaves, never on a leaf, with the
-        # state's norm; each internal path edge takes one SVD, where a
-        # binary root, spliced into a child, is one edge, and each path
-        # leaf whose edge threading left two wide one two-column kernel call
+        # state's norm; each internal path edge takes one values-only SVD,
+        # where a binary root, spliced into a child, is one edge, and one
+        # more SVD, for its vectors, where a value of the policy's drops;
+        # each path leaf whose edge threading left two wide takes one
+        # two-column kernel call
         circuit, topo = case
         state = TtnState.basis_state(topo, [0] * circuit.num_qubits)
         tree = state._tree
@@ -450,7 +506,16 @@ class TestCenter:
                 return _f(*args, **kwargs)
             return counted
 
-        with (patch.object(ttn, "svd_econ", counter("svd_econ")),
+        def svd(m, *args, _f=ttn.svd_econ, **kwargs):
+            out = _f(m, *args, **kwargs)
+            if kwargs.get("vectors") is False:
+                calls["values"] += 1
+                calls["drops"] += policy.rank(out)[0] < min(m.shape)
+            else:
+                calls["vectors"] += 1
+            return out
+
+        with (patch.object(ttn, "svd_econ", svd),
               patch.object(ttn, "svd_two_cols", counter("svd_two_cols"))):
             for g in circuit.gates:
                 up_a, _, up_b = tree.path_between(*g.qubits)
@@ -462,7 +527,8 @@ class TestCenter:
                 assert not tree.is_leaf(state.center)
                 assert state.canonical_deviation() < 1e-10
                 assert abs(np.linalg.norm(state.tensors[state.center]) - 1.0) <= 1e-12
-                assert calls["svd_econ"] == len(up_a) + len(up_b) - 2
+                assert calls["values"] == len(up_a) + len(up_b) - 2
+                assert calls["vectors"] == calls["drops"]
                 assert calls["svd_two_cols"] == wide
 
 
